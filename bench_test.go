@@ -234,9 +234,8 @@ func BenchmarkAllreduce16(b *testing.B) {
 // BenchmarkChaosSweepWarm measures the warm-start speedup on an 8-point
 // chaosbench grid (mcast-allgather under all eight scenarios at 16 nodes /
 // 4 KiB): each iteration runs the sweep cold (a fresh model stack per
-// point) and warm (one built stack per partition class, forked per
-// scenario) and reports the wall-clock ratio. fork-speedup is a
-// same-machine ratio — like the sharded-engine speedup metric — and is
+// point) and warm (one built stack, forked per scenario) and reports the
+// wall-clock ratio. fork-speedup is a same-machine ratio and is
 // floor-gated in CI; sweep-wall-ms and snapshot-bytes are informational
 // trajectory metrics.
 func BenchmarkChaosSweepWarm(b *testing.B) {

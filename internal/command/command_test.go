@@ -25,6 +25,12 @@ func run(args ...string) (int, string, string) {
 // historically lacked.
 func TestExitCodes(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "nope", "out.json")
+	small := smallOSUManifest(t, t.TempDir(), "small.json", "", "")
+	// A manifest carrying the removed engine shard-count field.
+	withShards := filepath.Join(t.TempDir(), "shards.json")
+	if err := os.WriteFile(withShards, []byte(`{"kind": "osu", "shards": 4}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -43,7 +49,6 @@ func TestExitCodes(t *testing.T) {
 		{"osu unregistered combo", []string{"osu", "-algo", "bruck", "-op", "broadcast"}, 2, "unknown algorithm"},
 		{"osu bad json dir", []string{"osu", "-json", missing}, 2, "does not exist"},
 		{"osu bad workers", []string{"osu", "-workers", "-2"}, 2, "-workers must be >= 0"},
-		{"osu bad shards", []string{"osu", "-shards", "0"}, 2, "-shards must be positive"},
 
 		{"chaos bad scenario", []string{"chaos", "-scenarios", "hurricane"}, 2, "hurricane"},
 		{"chaos bad json dir", []string{"chaos", "-json", missing}, 2, "does not exist"},
@@ -71,6 +76,8 @@ func TestExitCodes(t *testing.T) {
 
 		{"run no manifest", []string{"run"}, 2, "usage"},
 		{"run missing file", []string{"run", filepath.Join(t.TempDir(), "absent.json")}, 2, ""},
+		{"run shards flag", []string{"run", "-shards", "2", small}, 2, "flag provided but not defined: -shards"},
+		{"run shards field", []string{"run", withShards}, 2, `unknown field "shards"`},
 		{"validate no args", []string{"validate"}, 2, "usage"},
 		{"list extra args", []string{"list", "x"}, 2, "usage"},
 	}
@@ -174,30 +181,27 @@ func TestValidateDuplicates(t *testing.T) {
 	}
 }
 
-// TestManifestShardMatrix runs the three shipping manifest families that
-// exercise distinct stacks — pr (OSU collectives, partitioned), chaos
-// (scenario kernel with the partitioned quiet anchor), train (workload
-// DAGs, confined) — at every shard count in the acceptance matrix. Each
-// manifest declares its expect.sha256, so a zero exit IS the byte-identity
+// TestManifestDigests runs the three shipping manifest families that
+// exercise distinct stacks — pr (OSU collectives), chaos (scenario kernel
+// with its quiet anchor), train (workload DAGs) — once each. Each manifest
+// declares its expect.sha256, so a zero exit IS the byte-identity
 // assertion; the digest-confirmation line is checked anyway so a manifest
 // that silently loses its expect block fails loudly.
-func TestManifestShardMatrix(t *testing.T) {
+func TestManifestDigests(t *testing.T) {
 	if testing.Short() {
-		t.Skip("nine multi-second sweeps; skipped with -short")
+		t.Skip("three multi-second sweeps; skipped with -short")
 	}
 	for _, name := range []string{"pr.json", "chaos.json", "train.json"} {
 		src, err := filepath.Abs(filepath.Join("..", "..", "manifests", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []string{"1", "2", "8"} {
-			code, stdout, stderr := run("run", "-shards", shards, "-o", t.TempDir(), src)
-			if code != 0 {
-				t.Fatalf("%s -shards %s: exit %d, stderr %s", name, shards, code, stderr)
-			}
-			if !strings.Contains(stdout, "digest matches expect.sha256") {
-				t.Fatalf("%s -shards %s: stdout does not confirm the digest:\n%s", name, shards, stdout)
-			}
+		code, stdout, stderr := run("run", "-o", t.TempDir(), src)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr %s", name, code, stderr)
+		}
+		if !strings.Contains(stdout, "digest matches expect.sha256") {
+			t.Fatalf("%s: stdout does not confirm the digest:\n%s", name, stdout)
 		}
 	}
 }
@@ -316,8 +320,8 @@ func TestDigestMismatchExitsOne(t *testing.T) {
 // TestGoldenPRManifest pins the CI pr leg end to end: `repro run
 // manifests/pr.json` must reproduce the historical cmd/osu BENCH_pr.json
 // bytes, whose digest is declared in the manifest itself. The twin
-// manifests carry the same digest, so worker- and shard-count determinism
-// ride on the same pin.
+// manifest carries the same digest, so worker-count determinism rides on
+// the same pin.
 func TestGoldenPRManifest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep; skipped with -short")

@@ -18,12 +18,11 @@ import (
 )
 
 // common is the flag surface shared by every subcommand that executes a
-// plan: output targets, pool/engine sizing, telemetry, and diagnostics.
+// plan: output targets, pool sizing, telemetry, and diagnostics.
 type common struct {
 	jsonPath     string
 	csvPath      string
 	workers      int
-	shards       int
 	cpuprofile   string
 	telemetry    bool
 	metricsPath  string
@@ -38,7 +37,6 @@ func (c *common) register(fs *flag.FlagSet, workersDefault int) {
 	fs.StringVar(&c.jsonPath, "json", "", "write sweep records as JSON to this path")
 	fs.StringVar(&c.csvPath, "csv", "", "write sweep records as CSV to this path")
 	fs.IntVar(&c.workers, "workers", workersDefault, "sweep worker goroutines (0 = GOMAXPROCS)")
-	fs.IntVar(&c.shards, "shards", 1, "engine shards for conservative parallel execution (1 = serial; results are identical at any value)")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.BoolVar(&c.telemetry, "telemetry", false, "collect the deterministic metrics registry during the sweep")
 	fs.StringVar(&c.metricsPath, "metrics", "", "write canonical telemetry metrics.json to this path (implies -telemetry)")
@@ -50,7 +48,6 @@ func (c *common) register(fs *flag.FlagSet, workersDefault int) {
 // and passes.
 func (c *common) validate() []error {
 	checks := []error{
-		cli.Positive("shards", c.shards),
 		cli.Writable("json", c.jsonPath),
 		cli.Writable("csv", c.csvPath),
 		cli.Writable("cpuprofile", c.cpuprofile),
@@ -73,9 +70,6 @@ func (c *common) apply(m *manifest.Manifest) {
 	}
 	if c.workers >= 0 {
 		m.Workers = c.workers
-	}
-	if c.shards > 1 || m.Shards == 0 {
-		m.Shards = c.shards
 	}
 	if c.telemetry || c.metricsPath != "" || c.perfettoPath != "" {
 		if m.Telemetry == nil {
@@ -114,7 +108,7 @@ type diagnostics struct {
 }
 
 // execute is the single run path behind `repro run` and all seven shims:
-// compile the manifest, configure the engine shard count, run the plan,
+// compile the manifest, configure telemetry, run the plan,
 // persist/compare/verify the report, and optionally write a protocol
 // trace. Exit codes follow the repository convention (2 invalid spec,
 // 1 runtime failure).
@@ -132,11 +126,6 @@ func execute(cmd string, m manifest.Manifest, diag diagnostics, stdout, stderr i
 		return fail(stderr, 2, "%s: %v", cmd, err)
 	}
 	defer stop()
-	shards := m.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	harness.SetShards(shards)
 	var telCfg telemetry.Config
 	if m.Telemetry != nil {
 		telCfg = telemetry.Config{

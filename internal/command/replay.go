@@ -43,10 +43,8 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	if plan.ReplaySpec == nil {
 		return fail(stderr, 2, "replay: kind %s has no replayable point", m.Kind)
 	}
-	// The replay driver steps a single serial engine and rewinds model
-	// state in place, so the manifest's shard count and telemetry block do
-	// not apply to this run.
-	harness.SetShards(1)
+	// The replay driver rewinds model state in place, so the manifest's
+	// telemetry block does not apply to this run.
 	harness.SetTelemetry(telemetry.Config{})
 	cfg := harness.ReplayConfig{
 		Interval: sim.Time(*interval) * sim.Microsecond,

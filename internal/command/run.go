@@ -179,8 +179,8 @@ func artifactBasenames(m *manifest.Manifest) []string {
 // failures before exiting. Directory arguments expand to the manifests
 // inside them. Duplicates across the set are rejected: two manifests may
 // share a report name only if they write disjoint artifacts (the
-// determinism-twin pattern — the same experiment at different -workers or
-// -shards, byte-compared by CI), and no two manifests may declare the same
+// determinism-twin pattern — the same experiment at different -workers
+// or on the warm-start path, byte-compared by CI), and no two manifests may declare the same
 // output basename, which would silently overwrite when a batch runs them
 // into one -o directory.
 func runValidate(args []string, stdout, stderr io.Writer) int {

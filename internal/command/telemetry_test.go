@@ -16,7 +16,7 @@ func osuMetricsArgs(path string, extra ...string) []string {
 
 // TestMetricsByteIdentity is the telemetry half of the determinism
 // contract: the canonical metrics.json must be byte-identical at every
-// -workers and -shards value, and must match the checked-in golden — so
+// -workers value, and must match the checked-in golden — so
 // any drift in an instrumented counter is a reviewed diff, not silent
 // noise.
 func TestMetricsByteIdentity(t *testing.T) {
@@ -29,8 +29,6 @@ func TestMetricsByteIdentity(t *testing.T) {
 		"default": nil,
 		"w1":      {"-workers", "1"},
 		"w4":      {"-workers", "4"},
-		"shards1": {"-shards", "1"},
-		"shards4": {"-shards", "4"},
 	}
 	for name, extra := range configs {
 		path := filepath.Join(dir, name+".json")

@@ -147,10 +147,6 @@ type NIC struct {
 	// Injected/Received count packets through this NIC for diagnostics.
 	Injected uint64
 	Received uint64
-	// pktSeq numbers injections on a partitioned fabric, where a global
-	// packet counter would be shared across shards. The ID becomes
-	// host<<32|seq — still unique, still deterministic, owner-local.
-	pktSeq uint64
 }
 
 // Fabric is a live simulated network bound to an engine and a topology.
@@ -162,15 +158,9 @@ type Fabric struct {
 	rng *sim.RNG
 
 	// Pre-built sim.Handler instances for the fabric event kinds, so the
-	// per-hop scheduling path is closure-free and allocation-free. bookH
-	// exists only on a partitioned fabric (see sharded.go).
+	// per-hop scheduling path is closure-free and allocation-free.
 	arriveH  sim.Handler
 	deliverH sim.Handler
-	bookH    sim.Handler
-
-	// part holds per-shard ownership state when the fabric is partitioned
-	// via EnablePartition; nil means confined to the primary shard.
-	part *partition
 
 	// chans[2*linkID+dir]: dir 0 = A->B, dir 1 = B->A.
 	chans        []channel
@@ -220,6 +210,11 @@ func (f *Fabric) Graph() *topology.Graph { return f.g }
 
 // Engine returns the simulation engine driving this fabric.
 func (f *Fabric) Engine() *sim.Engine { return f.eng }
+
+// Partitioned reports whether the fabric runs hops on more than one
+// engine. Every fabric runs on a single serial engine, so it is always
+// false; it remains for callers that report the value as a metric.
+func (f *Fabric) Partitioned() bool { return false }
 
 // AttachNIC registers (or returns the existing) NIC for a host.
 func (f *Fabric) AttachNIC(host topology.NodeID) *NIC {
@@ -284,9 +279,6 @@ func (n *NIC) Inject(pkt *Packet) sim.Time {
 		}
 	}
 	n.Injected++
-	if n.f.part != nil {
-		return n.injectPartitioned(pkt)
-	}
 	pkt.ID = n.f.nextPktID
 	n.f.nextPktID++
 	// The host's single port is port 0; transmit up the host link.
@@ -315,12 +307,6 @@ func (ch *channel) serialization(size int) sim.Time {
 // schedules arrival processing at the peer. It returns the serialization
 // completion time on that channel.
 func (f *Fabric) transmit(pkt *Packet, node topology.NodeID, port int) sim.Time {
-	if f.part != nil {
-		// Partitioned hops go through book/dispatch on the owning shard;
-		// reaching the confined path means a switch arrival slipped past
-		// the pipeline and would mutate channel state off its owner.
-		panic(fmt.Sprintf("fabric: confined transmit at node %d port %d on a partitioned fabric", node, port))
-	}
 	nb := f.g.Adj[node][port]
 	ch := f.channelFor(node, nb.Link)
 	size := f.wireBytes(pkt)
@@ -503,7 +489,6 @@ func (f *Fabric) SetBandwidthScale(id ChannelID, scale float64) {
 	if scale <= 0 {
 		panic(fmt.Sprintf("fabric: bandwidth scale %v must be positive (use SetDropRate(id, 1) for an outage)", scale))
 	}
-	f.assertConfined(id, "SetBandwidthScale")
 	ch := &f.chans[id]
 	ch.serSize = -1 // invalidate the memoized serialization time
 	if scale == 1 {
@@ -519,7 +504,6 @@ func (f *Fabric) SetExtraLatency(id ChannelID, d sim.Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("fabric: negative extra latency %v", d))
 	}
-	f.assertConfined(id, "SetExtraLatency")
 	f.chans[id].extraLat = d
 }
 
@@ -535,7 +519,6 @@ func (f *Fabric) DropRateOverride(id ChannelID) float64 {
 // lossless, 1 takes it down entirely (every traversal drops), and a
 // negative rate clears the override, restoring the global configuration.
 func (f *Fabric) SetDropRate(id ChannelID, rate float64) {
-	f.assertConfined(id, "SetDropRate")
 	if rate > 1 {
 		rate = 1
 	}
@@ -611,30 +594,11 @@ func (f *Fabric) InjectBackground(src, dst topology.NodeID, payloadBytes int, fl
 		Src: src, Dst: dst, Group: NoGroup, Flow: flow,
 		PayloadBytes: payloadBytes, Background: true,
 	}
-	if f.part != nil {
-		panic("fabric: background traffic requires the confined fabric (EnablePartition refuses scenarios; this fabric was partitioned first)")
-	}
 	pkt.ID = f.nextPktID
 	f.nextPktID++
 	f.BackgroundInjected++
 	f.BackgroundBytes += uint64(payloadBytes)
 	return f.transmit(pkt, src, 0)
-}
-
-// assertConfined rejects a live per-channel override on a partitioned
-// fabric: the channel's serializer state belongs to its owner shard, and a
-// mid-run mutation from outside would race it (and shift results with
-// shard count). EnablePartition refuses fabrics that already carry
-// overrides, so the two features are mutually exclusive by construction;
-// ClearOverrides stays allowed since it restores the exact baseline the
-// partitioned channels are known to hold.
-func (f *Fabric) assertConfined(id ChannelID, op string) {
-	if f.part == nil {
-		return
-	}
-	ch := &f.chans[id]
-	panic(fmt.Sprintf("fabric: %s on channel %d (%d->%d) owned by shard %d: live overrides require the confined fabric",
-		op, id, ch.from, ch.to, f.part.chanOwner[id]))
 }
 
 // --- counters -------------------------------------------------------------

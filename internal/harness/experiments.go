@@ -23,7 +23,7 @@ func testbedFabric(seed uint64, linkBw float64) (*sim.Engine, *fabric.Fabric) {
 		linkBw = 7e9 // 56 Gbit/s
 	}
 	fcfg := fabric.Config{LinkBandwidth: linkBw}
-	eng := newEngine(seed, g, fcfg)
+	eng := sim.NewEngine(seed)
 	f := fabric.New(eng, g, fcfg)
 	return eng, f
 }

@@ -15,8 +15,8 @@ import (
 // prefix of the run, let the original timeline run to completion (dirtying
 // the event pool and every model object far past the fork point), then
 // rewind and re-drive the continuation — the replayed run must produce the
-// Record a straight-through cold run produces, byte-identically, at every
-// shard count and at multiple fork points. This is what makes `repro
+// Record a straight-through cold run produces, byte-identically, at
+// multiple fork points. This is what makes `repro
 // replay` an exact debugger rather than an approximation.
 
 // forkedResilienceRecord runs one quiet resilience point with a mid-run
@@ -113,24 +113,20 @@ func metricsDoc(recs []sweep.Record) []byte {
 	return doc.Encode()
 }
 
-// TestMidRunForkByteIdentical forks after two different prefixes at
-// -shards 1, 2 and 8 and requires the replayed continuation's Record to
-// match a straight cold run byte for byte.
+// TestMidRunForkByteIdentical forks after two different prefixes and
+// requires the replayed continuation's Record to match a straight cold run
+// byte for byte.
 func TestMidRunForkByteIdentical(t *testing.T) {
 	s := sweep.Spec{Algorithm: "mcast-allgather", Scenario: "quiet",
 		Nodes: 16, MsgBytes: 4096, Seed: 7}
-	for _, shards := range []int{1, 2, 8} {
-		withShards(t, shards, func() {
-			cold, err := ResilienceKernel(s)
-			if err != nil {
-				t.Fatalf("shards=%d cold: %v", shards, err)
-			}
-			// The quiet point lasts ~35µs of virtual time; fork early and late.
-			for _, prefix := range []sim.Time{5 * sim.Microsecond, 20 * sim.Microsecond} {
-				forked := forkedResilienceRecord(t, s, prefix)
-				diffWarmCold(t, "mid-run fork", []sweep.Record{cold}, []sweep.Record{forked})
-			}
-		})
+	cold, err := ResilienceKernel(s)
+	if err != nil {
+		t.Fatalf("cold: %v", err)
+	}
+	// The quiet point lasts ~35µs of virtual time; fork early and late.
+	for _, prefix := range []sim.Time{5 * sim.Microsecond, 20 * sim.Microsecond} {
+		forked := forkedResilienceRecord(t, s, prefix)
+		diffWarmCold(t, "mid-run fork", []sweep.Record{cold}, []sweep.Record{forked})
 	}
 }
 
@@ -143,17 +139,13 @@ func TestMidRunForkTelemetry(t *testing.T) {
 	defer SetTelemetry(telemetry.Config{})
 	s := sweep.Spec{Algorithm: "mcast-allgather", Scenario: "quiet",
 		Nodes: 16, MsgBytes: 4096, Seed: 7}
-	for _, shards := range []int{1, 2} {
-		withShards(t, shards, func() {
-			cold, err := ResilienceKernel(s)
-			if err != nil {
-				t.Fatalf("shards=%d cold: %v", shards, err)
-			}
-			forked := forkedResilienceRecord(t, s, 10*sim.Microsecond)
-			diffWarmCold(t, "mid-run fork + telemetry", []sweep.Record{cold}, []sweep.Record{forked})
-			if cm, fm := metricsDoc([]sweep.Record{cold}), metricsDoc([]sweep.Record{forked}); !bytes.Equal(cm, fm) {
-				t.Errorf("shards=%d: metrics.json diverged\ncold: %.1500s\nfork: %.1500s", shards, cm, fm)
-			}
-		})
+	cold, err := ResilienceKernel(s)
+	if err != nil {
+		t.Fatalf("cold: %v", err)
+	}
+	forked := forkedResilienceRecord(t, s, 10*sim.Microsecond)
+	diffWarmCold(t, "mid-run fork + telemetry", []sweep.Record{cold}, []sweep.Record{forked})
+	if cm, fm := metricsDoc([]sweep.Record{cold}), metricsDoc([]sweep.Record{forked}); !bytes.Equal(cm, fm) {
+		t.Errorf("metrics.json diverged\ncold: %.1500s\nfork: %.1500s", cm, fm)
 	}
 }

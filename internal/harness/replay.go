@@ -45,13 +45,9 @@ type waypoint struct {
 
 // Replay runs one quiet collective point under the replay debugger,
 // writing the waypoint table, the seek trace and the stepped events to w.
-// Replay is serial-only (configure -shards 1) and rejects perturbation
-// scenarios: scenario injectors hold closure state the snapshot layer
-// cannot rewind.
+// Replay rejects perturbation scenarios: scenario injectors hold closure
+// state the snapshot layer cannot rewind.
 func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
-	if Shards() != 1 {
-		return fmt.Errorf("harness: replay needs a serial engine (configured shards=%d); run with -shards 1", Shards())
-	}
 	if s.Scenario != "" && s.Scenario != scenario.Quiet {
 		return fmt.Errorf("harness: replay supports only the quiet scenario, not %q", s.Scenario)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/model"
 	"repro/internal/registry"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -58,17 +57,11 @@ func rxConfig(s sweep.Spec) (RxBenchConfig, error) {
 // Both are deterministic event counts (never wall-clock rates), so the
 // byte-identical-JSON contract of the sweep engine is preserved; the
 // wall-clock events/sec trajectory lives in the Benchmark* suite and
-// BENCH_perf.json instead. On a sharded group the totals sum across
-// shards: every logical event is scheduled and fired exactly once on
-// exactly one shard, so the sums match the serial engine's counts at any
-// -shards value. (Pool recycling is not invariant — reuse depends on the
-// per-shard free-list interleave — so recycled counts stay out of
-// Records; they remain visible as Diagnostic telemetry.)
+// BENCH_perf.json instead. (Pool recycling is not a function of the point
+// — a warm-start fork inherits the free list of the build it forks — so
+// recycled counts stay out of Records; they remain visible as Diagnostic
+// telemetry.)
 func addEngineMetrics(rec *sweep.Record, eng *sim.Engine) {
-	if g := eng.Group(); g != nil {
-		addEngineCounts(rec, g.ExecutedTotal(), g.ScheduledTotal())
-		return
-	}
 	addEngineCounts(rec, eng.Executed, eng.Scheduled)
 }
 
@@ -100,9 +93,8 @@ func RxKernel(s sweep.Spec) (sweep.Record, error) {
 	addEngineCounts(&rec, r.Events, r.EventsScheduled)
 	if reg := newRegistry(); reg != nil {
 		// The microbenchmark's engine is out of scope here; export the
-		// counter snapshot its result carries. Recycled is Diagnostic:
-		// pool reuse depends on the shard layout, so it has no place in
-		// canonical metrics.
+		// counter snapshot its result carries. Recycled is Diagnostic, as
+		// in collectEngineTelemetry.
 		reg.Counter("sim", "events", "", telemetry.Stable).Add(r.Events)
 		reg.Counter("sim", "scheduled", "", telemetry.Stable).Add(r.EventsScheduled)
 		reg.Counter("sim", "recycled", "", telemetry.Diagnostic).Add(r.EventsRecycled)
@@ -141,16 +133,6 @@ func collPoint(s sweep.Spec) (collPt, error) {
 	}
 	reg := newRegistry()
 	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-	// Partition the fabric across the engine shards when nothing pins the
-	// point to the primary: no perturbation scenario (the quiet anchor is
-	// injector-free), no telemetry registry (collectors read shared fabric
-	// state), and a partition-safe algorithm. The pipeline runs at every
-	// shard count including 1, so the Records are byte-identical at any
-	// -shards value — partitioning only changes which cores do the work.
-	if (s.Scenario == "" || s.Scenario == scenario.Quiet) && reg == nil &&
-		registry.PartitionSafe(s.Algorithm) {
-		f.EnablePartition()
-	}
 	alg, err := registry.New(cl, s.Algorithm, registry.Options{
 		Hosts: hosts[:s.Nodes],
 		Core:  core.Config{Transport: verbs.UD, Metrics: reg},
@@ -451,7 +433,7 @@ func AppBKernel(s sweep.Spec) (sweep.Record, error) {
 		return sweep.Record{}, fmt.Errorf("harness: unknown pair %q", s.Algorithm)
 	}
 	g := topology.Star(s.Nodes)
-	eng := newEngine(s.Seed, g, fabric.Config{})
+	eng := sim.NewEngine(s.Seed)
 	f := fabric.New(eng, g, fabric.Config{})
 	reg := newRegistry()
 	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
@@ -517,7 +499,7 @@ func CollTrace(s sweep.Spec, linkGbps float64) (*telemetry.Bundle, error) {
 		return nil, fmt.Errorf("harness: nodes must be in [1,%d]", len(g.Hosts()))
 	}
 	fcfg := fabric.Config{LinkBandwidth: linkBw}
-	eng := newEngine(s.Seed, g, fcfg)
+	eng := sim.NewEngine(s.Seed)
 	f := fabric.New(eng, g, fcfg)
 	reg := traceRegistry()
 	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
@@ -583,16 +565,10 @@ func osuPoint(cfg OSUConfig, s sweep.Spec) (collPt, error) {
 		LinkBandwidth: linkBw,
 		ReorderJitter: sim.Time(cfg.JitterUS) * sim.Microsecond,
 	}
-	eng := newEngine(s.Seed, g, fcfg)
+	eng := sim.NewEngine(s.Seed)
 	f := fabric.New(eng, g, fcfg)
 	reg := newRegistry()
 	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-	// Same partition gate as collPoint; delivery jitter additionally
-	// pins the point (the jitter RNG is fabric-global per-delivery
-	// state, which partitioned transmit does not replicate).
-	if reg == nil && cfg.JitterUS == 0 && registry.PartitionSafe(s.Algorithm) {
-		f.EnablePartition()
-	}
 	alg, err := registry.New(cl, s.Algorithm, registry.Options{
 		Hosts: g.Hosts()[:s.Nodes],
 		Core:  core.Config{Metrics: reg},

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"strconv"
-
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -12,9 +10,8 @@ import (
 
 // telemetryCfg is the process-wide telemetry configuration, set once from
 // the -telemetry flags (or the manifest's telemetry block) before any sweep
-// runs. Like engineShards it is an execution knob, not a sweep axis: the
-// canonical metrics a run exports are byte-identical at every -workers and
-// -shards value.
+// runs. It is an execution knob, not a sweep axis: the canonical metrics a
+// run exports are byte-identical at every -workers value.
 var telemetryCfg telemetry.Config
 
 // SetTelemetry configures telemetry for every kernel the harness runs from
@@ -43,9 +40,9 @@ func traceRegistry() *telemetry.Registry {
 }
 
 // armFabricTelemetry attaches the virtual-time sampler that tracks the
-// fabric's worst serializer backlog as a gauge. The fabric is confined to
-// the primary shard, so the sampled series is identical at every -workers
-// and -shards value. Returns the sampler so kernels that reuse one fabric
+// fabric's worst serializer backlog as a gauge. The sampled series is a
+// function of virtual time only, so it is identical at every -workers
+// value. Returns the sampler so kernels that reuse one fabric
 // across iterations can re-arm it (the sampler self-terminates when the
 // event queue drains). A nil registry yields a nil sampler; Arm on nil is a
 // no-op.
@@ -61,33 +58,19 @@ func armFabricTelemetry(reg *telemetry.Registry, f *fabric.Fabric) *telemetry.Sa
 }
 
 // collectEngineTelemetry exports the engine's event counters. Events and
-// scheduled totals are Stable: on a sharded group they sum across shards,
-// and every logical event is scheduled and fired exactly once on exactly
-// one shard, so the sums match the serial engine at any -shards value
-// (the same invariant the sim_events record metric relies on). Recycled
-// is Diagnostic — event-pool reuse depends on the per-shard free-list
-// interleave, so it is visible to benchmarks and `repro trace` but
-// excluded from canonical metrics.json, as are the epoch/stall counts and
-// the per-shard split that only exist under -shards > 1.
+// scheduled totals are Stable: they are a function of the simulated point
+// alone (the same invariant the sim_events record metric relies on).
+// Recycled is Diagnostic — event-pool reuse depends on the free list's
+// history, which a warm-start fork inherits from the build it forks, so it
+// is visible to benchmarks and `repro trace` but excluded from canonical
+// metrics.json.
 func collectEngineTelemetry(reg *telemetry.Registry, eng *sim.Engine) {
 	if reg == nil {
 		return
 	}
-	executed, scheduled, recycled := eng.Executed, eng.Scheduled, eng.Recycled
-	if g := eng.Group(); g != nil {
-		executed, scheduled, recycled = g.ExecutedTotal(), g.ScheduledTotal(), g.RecycledTotal()
-	}
-	reg.Counter("sim", "events", "", telemetry.Stable).Add(executed)
-	reg.Counter("sim", "scheduled", "", telemetry.Stable).Add(scheduled)
-	reg.Counter("sim", "recycled", "", telemetry.Diagnostic).Add(recycled)
-	if g := eng.Group(); g != nil {
-		reg.Counter("sim", "epochs", "", telemetry.Diagnostic).Add(g.Epochs)
-		reg.Counter("sim", "epoch_stalls", "", telemetry.Diagnostic).Add(g.Stalls)
-		for i := 0; i < g.Shards(); i++ {
-			reg.Counter("sim", "shard_events", "shard="+strconv.Itoa(i),
-				telemetry.Diagnostic).Add(g.Shard(i).Executed)
-		}
-	}
+	reg.Counter("sim", "events", "", telemetry.Stable).Add(eng.Executed)
+	reg.Counter("sim", "scheduled", "", telemetry.Stable).Add(eng.Scheduled)
+	reg.Counter("sim", "recycled", "", telemetry.Diagnostic).Add(eng.Recycled)
 }
 
 // finishTelemetry runs the end-of-point collection pass — engine counters,

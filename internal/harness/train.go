@@ -69,7 +69,7 @@ func trainPoint(s sweep.Spec, cfg TrainConfig, tr *trace.Recorder, reg *telemetr
 		return nil, workload.Workload{}, nil, fmt.Errorf("harness: workload %q needs at least 2 hosts", s.Workload)
 	}
 	g := topology.Star(hosts)
-	eng := newEngine(s.Seed, g, fabric.Config{})
+	eng := sim.NewEngine(s.Seed)
 	f := fabric.New(eng, g, fabric.Config{})
 	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
 	sampler := armFabricTelemetry(reg, f)

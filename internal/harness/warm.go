@@ -3,7 +3,6 @@ package harness
 import (
 	"reflect"
 
-	"repro/internal/registry"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/snap"
@@ -43,13 +42,11 @@ func modelSnapConfig() snap.Config {
 	}
 }
 
-// warmFork couples the engine snapshot (serial or sharded group) with the
-// reflective model-state capture: the complete fork point of one built
-// stack.
+// warmFork couples the engine snapshot with the reflective model-state
+// capture: the complete fork point of one built stack.
 type warmFork struct {
 	eng   *sim.Engine
 	snap  *sim.Snapshot
-	gsnap *sim.GroupSnapshot
 	state *snap.State
 }
 
@@ -57,14 +54,8 @@ type warmFork struct {
 // payloads join the capture roots: an in-flight payload is reachable only
 // from the event queue, yet the continuation will mutate it.
 func captureFork(eng *sim.Engine, roots ...any) *warmFork {
-	w := &warmFork{eng: eng}
-	if g := eng.Group(); g != nil {
-		w.gsnap = g.Snapshot()
-		roots = append(roots, w.gsnap.Payloads()...)
-	} else {
-		w.snap = eng.Snapshot()
-		roots = append(roots, w.snap.Payloads()...)
-	}
+	w := &warmFork{eng: eng, snap: eng.Snapshot()}
+	roots = append(roots, w.snap.Payloads()...)
 	w.state = snap.Capture(modelSnapConfig(), roots...)
 	return w
 }
@@ -73,11 +64,7 @@ func captureFork(eng *sim.Engine, roots ...any) *warmFork {
 // timeline: the RNG tree rewinds to its captured state, so re-running the
 // continuation replays the original execution exactly.
 func (w *warmFork) rewind() {
-	if g := w.eng.Group(); g != nil {
-		g.Restore(w.gsnap)
-	} else {
-		w.eng.Restore(w.snap)
-	}
+	w.eng.Restore(w.snap)
 	w.state.Restore()
 }
 
@@ -88,50 +75,25 @@ func (w *warmFork) rewind() {
 // exact).
 func (w *warmFork) fork(seed uint64) {
 	w.rewind()
-	if g := w.eng.Group(); g != nil {
-		g.Reseed(seed)
-	} else {
-		w.eng.Reseed(seed)
-	}
+	w.eng.Reseed(seed)
 }
 
 // bytes reports the fork point's size (informational perf metric).
-func (w *warmFork) bytes() int {
-	n := w.state.Bytes()
-	if w.gsnap != nil {
-		n += w.gsnap.Bytes()
-	} else {
-		n += w.snap.Bytes()
-	}
-	return n
-}
+func (w *warmFork) bytes() int { return w.state.Bytes() + w.snap.Bytes() }
 
 // --- chaos (resilience) ----------------------------------------------------------
 
-// chaosPartitioned mirrors collPoint's partition gate: quiet,
-// telemetry-free, partition-safe points shard the fabric. The decision
-// changes the constructed event keying, so it is part of the warm key —
-// a quiet point must never share an instance with a perturbed one.
-func chaosPartitioned(s sweep.Spec) bool {
-	return (s.Scenario == "" || s.Scenario == scenario.Quiet) && !telemetryCfg.Enabled &&
-		registry.PartitionSafe(s.Algorithm)
-}
-
 // WarmResilience is the warm-start form of ResilienceKernel: one built
-// testbed stack per (algorithm, nodes, size, partition-class), forked per
-// scenario. The quiet baseline is thereby memoized — every injected
-// variant forks the same constructed stack the quiet anchor used.
+// testbed stack per (algorithm, nodes, size), forked per scenario. The
+// quiet baseline is thereby memoized — every injected variant forks the
+// same constructed stack the quiet anchor used.
 type WarmResilience struct{}
 
 func (WarmResilience) WarmKey(s sweep.Spec) string {
 	k := s
-	// Scenario is a continuation-only axis; what the build consumes is the
-	// partition decision it implies.
-	if chaosPartitioned(s) {
-		k.Scenario = "part"
-	} else {
-		k.Scenario = "nopart"
-	}
+	// Scenario is a continuation-only axis: the injectors install after
+	// the fork.
+	k.Scenario = ""
 	return k.Key()
 }
 

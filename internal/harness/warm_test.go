@@ -10,7 +10,7 @@ import (
 
 // The warm-start contract: a forked continuation produces the Record a
 // cold construction of the same point would — byte-identically, at every
-// shard count and worker count, with telemetry on or off. These tests are
+// worker count, with telemetry on or off. These tests are
 // the harness-level half of the fork property (the engine-level half
 // lives in internal/sim): they run real sweeps both ways and diff the
 // JSON-serialized records, which covers every metric, the embedded
@@ -36,24 +36,20 @@ func diffWarmCold(t *testing.T, label string, cold, warm []sweep.Record) {
 
 // TestWarmResilienceByteIdentical forks one shared testbed stack across a
 // quiet anchor and two perturbation scenarios and requires the records to
-// match a cold sweep at -shards 1, 2 and 8, and at several worker counts.
+// match a cold sweep at several worker counts.
 func TestWarmResilienceByteIdentical(t *testing.T) {
 	grid := ResilienceGrid([]string{"mcast-allgather"},
 		[]string{"quiet", "flap-spine", "tenant-50load"}, 16, 4096, 7)
-	for _, shards := range []int{1, 2, 8} {
-		withShards(t, shards, func() {
-			cold, err := ResilienceRecords(grid, 1)
-			if err != nil {
-				t.Fatalf("shards=%d cold: %v", shards, err)
-			}
-			for _, workers := range []int{1, 3} {
-				warm, err := WarmResilienceRecords(grid, workers)
-				if err != nil {
-					t.Fatalf("shards=%d workers=%d warm: %v", shards, workers, err)
-				}
-				diffWarmCold(t, "chaos", cold, warm)
-			}
-		})
+	cold, err := ResilienceRecords(grid, 1)
+	if err != nil {
+		t.Fatalf("cold: %v", err)
+	}
+	for _, workers := range []int{1, 3} {
+		warm, err := WarmResilienceRecords(grid, workers)
+		if err != nil {
+			t.Fatalf("workers=%d warm: %v", workers, err)
+		}
+		diffWarmCold(t, "chaos", cold, warm)
 	}
 }
 
@@ -77,8 +73,7 @@ func TestWarmResilienceTelemetry(t *testing.T) {
 }
 
 // TestWarmOSUByteIdentical shares one stack across a message-size sweep
-// (the OSU warm key drops the size axis) and checks cold equivalence at
-// serial and sharded engines.
+// (the OSU warm key drops the size axis) and checks cold equivalence.
 func TestWarmOSUByteIdentical(t *testing.T) {
 	cfg := OSUConfig{Iters: 3, Warmup: 1, LinkGbps: 56}
 	grid := sweep.Grid{
@@ -87,19 +82,15 @@ func TestWarmOSUByteIdentical(t *testing.T) {
 		MsgBytes:   []int{1024, 4096, 16384},
 		Seed:       3,
 	}
-	for _, shards := range []int{1, 2} {
-		withShards(t, shards, func() {
-			cold, err := sweep.RunGrid(grid, 1, OSUKernel(cfg))
-			if err != nil {
-				t.Fatalf("shards=%d cold: %v", shards, err)
-			}
-			warm, err := sweep.RunWarm(grid.Expand(), 2, WarmOSU(cfg))
-			if err != nil {
-				t.Fatalf("shards=%d warm: %v", shards, err)
-			}
-			diffWarmCold(t, "osu", cold, warm)
-		})
+	cold, err := sweep.RunGrid(grid, 1, OSUKernel(cfg))
+	if err != nil {
+		t.Fatalf("cold: %v", err)
 	}
+	warm, err := sweep.RunWarm(grid.Expand(), 2, WarmOSU(cfg))
+	if err != nil {
+		t.Fatalf("warm: %v", err)
+	}
+	diffWarmCold(t, "osu", cold, warm)
 }
 
 // TestWarmTrainByteIdentical forks one workload stack across scenarios.

@@ -100,8 +100,8 @@ func Compile(m Manifest) (*Plan, error) {
 // Execute runs every section on the worker pool, streaming each section's
 // header, table and note to w, and returns the combined report. workers
 // <= -1 selects the manifest's Workers field; results are byte-identical
-// at any worker count. The engine shard count must already be configured
-// (harness.SetShards) — Execute does not touch process-global state.
+// at any worker count. Telemetry must already be configured
+// (harness.SetTelemetry) — Execute does not touch process-global state.
 func (p *Plan) Execute(workers int, w io.Writer) (sweep.Report, error) {
 	if workers < 0 {
 		workers = p.Manifest.Workers

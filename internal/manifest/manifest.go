@@ -1,14 +1,14 @@
 // Package manifest turns experiments into data: a manifest is a small
 // JSON (or YAML-subset) document declaring what to run — a kind naming the
 // experiment family (osu, chaos, train, traffic, dpa, cost, ag), the grid
-// axes it sweeps, and the run's bookkeeping (seed, workers, shards, output
+// axes it sweeps, and the run's bookkeeping (seed, workers, output
 // paths, a baseline to diff against, an expected output digest) — which
 // compiles onto the existing sweep.Grid / harness kernels. The seven
 // historical cmd binaries are thin shims that build one of these in memory;
 // CI is a matrix over the checked-in specs in manifests/.
 //
 // The contract mirrors the sweep engine's: the same manifest always
-// produces byte-identical JSON output at any worker or shard count, so a
+// produces byte-identical JSON output at any worker count, so a
 // manifest plus its committed BENCH_*.json is a reproducible experiment.
 package manifest
 
@@ -54,9 +54,6 @@ type Manifest struct {
 	// Workers is the sweep worker pool size; 0 means GOMAXPROCS. Results
 	// are byte-identical at any value.
 	Workers int `json:"workers,omitempty"`
-	// Shards is the conservative-parallel engine shard count; 0 and 1 both
-	// mean serial. Results are byte-identical at any value.
-	Shards int `json:"shards,omitempty"`
 	// WarmStart runs the sweep on the snapshot/fork path: grid points that
 	// share a construction prefix (everything but seed, message size or
 	// scenario, depending on kind) share one built stack per worker and fork
@@ -149,8 +146,7 @@ type TelemetrySpec struct {
 	// prefixes (e.g. "fabric/", "core/phase_total"). Empty exports all.
 	Filters []string `json:"filters,omitempty"`
 	// Metrics is where the canonical metrics.json document is written.
-	// Like the report itself it is byte-identical at any -workers and
-	// -shards value.
+	// Like the report itself it is byte-identical at any -workers value.
 	Metrics string `json:"metrics,omitempty"`
 	// Perfetto is where the representative run's Chrome-trace-event JSON is
 	// written (open at ui.perfetto.dev). Only kinds with a traceable point
@@ -350,7 +346,7 @@ func (m Manifest) fields() []field {
 }
 
 // consumes names the kind-specific fields each kind reads. Universal
-// fields (name, workers, shards, output, baseline, expect) are always
+// fields (name, workers, output, baseline, expect) are always
 // legal and not listed.
 var consumes = map[string][]string{
 	"osu":     {"grid.algorithms", "grid.ops", "grid.nodes", "grid.sizes", "seed", "warm_start", "osu", "telemetry"},
@@ -378,9 +374,6 @@ func (m Manifest) Validate() error {
 	}
 	if m.Workers < 0 {
 		return fmt.Errorf("manifest: workers must be >= 0, got %d", m.Workers)
-	}
-	if m.Shards < 0 {
-		return fmt.Errorf("manifest: shards must be >= 0, got %d", m.Shards)
 	}
 	if m.Baseline != nil {
 		if m.Baseline.Path == "" {

@@ -62,32 +62,6 @@ var algorithms = map[string]builder{
 	"mcast-allreduce":     newAllreduce(true),
 }
 
-// partitionSafe lists the algorithms whose event flow is compatible with a
-// partitioned fabric (fabric.EnablePartition): every mid-run event they
-// schedule stays on the acting rank's own shard, all queue pairs exist
-// before the first Start, and they never touch in-network reduction.
-// Excluded and why:
-//   - ring-/mcast-allreduce chain the Allgather's Start inside the
-//     Reduce-Scatter's completion callback, which fires on whichever shard
-//     finishes last — Start must run between engine runs;
-//   - rd-/bruck-allgather and the tree broadcasts create RC queue pairs
-//     lazily from mid-run events (qpTo on first use), mutating two ranks'
-//     contexts from one shard;
-//   - inc-reduce-scatter aggregates at switches via fabric reduce groups,
-//     state no single shard owns.
-var partitionSafe = map[string]bool{
-	"mcast-broadcast":     true,
-	"mcast-allgather":     true,
-	"ring-allgather":      true,
-	"linear-allgather":    true,
-	"ring-reduce-scatter": true,
-}
-
-// PartitionSafe reports whether the named algorithm may run on a
-// partitioned fabric. Callers that own a fabric outright use it to decide
-// whether to EnablePartition before building the algorithm.
-func PartitionSafe(name string) bool { return partitionSafe[name] }
-
 // Names returns every registered algorithm name, sorted.
 func Names() []string {
 	names := make([]string, 0, len(algorithms))
@@ -105,9 +79,6 @@ func New(cl *cluster.Cluster, name string, opts Options) (collective.Algorithm, 
 	b, ok := algorithms[name]
 	if !ok {
 		return nil, fmt.Errorf("registry: unknown algorithm %q (have %v)", name, Names())
-	}
-	if cl.Fabric().Partitioned() && !PartitionSafe(name) {
-		return nil, fmt.Errorf("registry: %s is not partition-safe; build it on a confined fabric (the fabric was partitioned for an earlier algorithm)", name)
 	}
 	hosts := opts.Hosts
 	if hosts == nil {

@@ -26,7 +26,7 @@ type Warmable interface {
 	// WarmKey returns the prefix identity of a spec: points with equal keys
 	// may share one instance per worker. The key must cover everything the
 	// build consumes except the point seed — if two specs with the same key
-	// could construct differently (a partition gate, a telemetry gate), the
+	// could construct differently (a telemetry gate, say), the
 	// gate's outcome belongs in the key. An empty key opts the point out of
 	// sharing; it runs cold.
 	WarmKey(Spec) string

@@ -12,14 +12,14 @@
 //   - Determinism when enabled. Metrics are pure functions of the simulated
 //     run — counters count virtual events, gauges sample at virtual times,
 //     histograms bucket virtual durations — so enabled output is
-//     byte-identical at any -workers or -shards count. Telemetry is part of
-//     the determinism contract, not an exception to it.
+//     byte-identical at any -workers count. Telemetry is part of the
+//     determinism contract, not an exception to it.
 //
-// Metrics carry a Class: Stable metrics are shard- and worker-invariant and
-// make up the canonical metrics.json; Diagnostic metrics (per-shard event
-// counts, epoch-barrier stalls) legitimately vary with the execution
-// configuration and are excluded from the canonical encoding — they surface
-// through benchmarks and BENCH_perf.json instead.
+// Metrics carry a Class: Stable metrics are worker-invariant and make up
+// the canonical metrics.json; Diagnostic metrics (event-pool reuse)
+// legitimately vary with the execution history and are excluded from the
+// canonical encoding — they surface through benchmarks and BENCH_perf.json
+// instead.
 package telemetry
 
 import (
@@ -32,12 +32,11 @@ import (
 type Class uint8
 
 const (
-	// Stable metrics are invariant across -workers and -shards and are
-	// included in the canonical metrics.json encoding.
+	// Stable metrics are invariant across -workers and are included in the
+	// canonical metrics.json encoding.
 	Stable Class = iota
-	// Diagnostic metrics describe the execution configuration itself
-	// (per-shard counts, barrier stalls) and are excluded from the
-	// canonical encoding.
+	// Diagnostic metrics describe the execution itself (event-pool reuse)
+	// and are excluded from the canonical encoding.
 	Diagnostic
 )
 
@@ -281,8 +280,8 @@ func (r *Registry) matchFilters(key string) bool {
 
 // Snapshot serializes the registry. Nil registries snapshot to nil.
 // Diagnostic-class metrics are excluded: they describe the execution
-// configuration (shard counts, barrier stalls) and would break the
-// byte-identity of metrics.json across -shards.
+// history (event-pool reuse) and would break the byte-identity of
+// metrics.json between cold and warm-start runs.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
@@ -328,9 +327,9 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
-// Diagnostics returns the Diagnostic-class counters by key — the per-shard
-// and barrier statistics excluded from the canonical snapshot — for tests
-// and benchmark reporting.
+// Diagnostics returns the Diagnostic-class counters by key — the execution
+// statistics excluded from the canonical snapshot — for tests and
+// benchmark reporting.
 func (r *Registry) Diagnostics() map[string]uint64 {
 	if r == nil {
 		return nil

@@ -260,11 +260,9 @@ type Context struct {
 func NewContext(f *fabric.Fabric, host topology.NodeID, cfg Config) *Context {
 	cfg = cfg.withDefaults()
 	ctx := &Context{
-		Host: host,
-		f:    f,
-		// On a partitioned fabric the host's shard owns this context: every
-		// timer, DMA completion and injection it schedules stays owner-local.
-		eng:   f.HostEngine(host),
+		Host:  host,
+		f:     f,
+		eng:   f.Engine(),
 		nic:   f.AttachNIC(host),
 		cfg:   cfg,
 		qps:   make(map[QPN]*QP),

@@ -51,3 +51,41 @@ func TestScenarioFacade(t *testing.T) {
 		t.Fatalf("tenant load did not slow the collective: %d ns vs quiet %d ns", tenant, quiet)
 	}
 }
+
+// TestSystemMixesAlgorithmsAndScenarios pins that one System serves any
+// sequence of algorithms and scenarios: building a multicast Allgather
+// first must not lock the fabric out of later algorithms or of live
+// perturbations (link drops, flaps, background tenants).
+func TestSystemMixesAlgorithmsAndScenarios(t *testing.T) {
+	sys, err := NewSystem(SystemConfig{Hosts: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag, err := NewAlgorithm(sys, "mcast-allgather", AlgorithmOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar, err := NewAlgorithm(sys, "ring-allreduce", AlgorithmOptions{})
+	if err != nil {
+		t.Fatalf("ring-allreduce after mcast-allgather on one System: %v", err)
+	}
+	if _, err := ar.Run(Op{Kind: Allreduce, Bytes: 64 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"hotspot-drop", "flap-spine", "tenant-50load"} {
+		sc, err := NewScenario(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		act := sys.ApplyScenario(sc, uint64(i+1))
+		var res *Result
+		if err := ag.(Starter).Start(Op{Kind: Allgather, Bytes: 64 << 10},
+			func(r *Result) { res = r; act.Stop() }); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sys.Run()
+		if res == nil {
+			t.Fatalf("allgather under %q did not complete", name)
+		}
+	}
+}

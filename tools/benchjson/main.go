@@ -7,11 +7,10 @@
 // allocs/op regresses more than the tolerance over PERF_BASELINE.json.
 // Only machine-independent metrics (allocation counts, simulated events
 // per op) are suitable for gating; wall-clock metrics (ns/op, events/sec)
-// are recorded for the trajectory but vary across runners. Telemetry
-// counters reported by the shard benchmarks ("epochs/op" ->
-// epochs_per_op, "epoch-stalls/op" -> epoch_stalls_per_op) flow through
-// the same pipeline as informational metrics: they appear in the
-// trajectory but are gated only if named in -metric/-min-metric.
+// are recorded for the trajectory but vary across runners. Any other
+// custom unit a benchmark reports ("fork-speedup" -> fork_speedup) flows
+// through the same pipeline as an informational metric: it appears in the
+// trajectory but is gated only if named in -metric/-min-metric.
 //
 // Usage:
 //
@@ -41,7 +40,7 @@ func main() {
 	metrics := flag.String("metric", "allocs_per_op", "comma-separated metrics to gate")
 	tol := flag.Float64("tol", 0.20, "relative regression tolerance for gated metrics")
 	slack := flag.Float64("slack", 1, "absolute slack added on top of the relative tolerance (absorbs benchmem rounding)")
-	minMetrics := flag.String("min-metric", "", "comma-separated metrics gated as floors: the run fails when a value drops below baseline*(1-min-tol)-min-slack (throughput metrics like events_per_sec_per_core)")
+	minMetrics := flag.String("min-metric", "", "comma-separated metrics gated as floors: the run fails when a value drops below baseline*(1-min-tol)-min-slack (same-machine ratios like fork_speedup)")
 	minTol := flag.Float64("min-tol", 0.20, "relative drop tolerance for -min-metric floors")
 	minSlack := flag.Float64("min-slack", 0, "absolute slack subtracted below the relative floor")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
