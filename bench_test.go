@@ -75,8 +75,8 @@ func BenchmarkFig10Breakdown(b *testing.B) {
 }
 
 // BenchmarkFig11ThroughputAtScale measures per-rank receive throughput of
-// every algorithm at 64 nodes, 256 KiB (use cmd/agbench -fig 11 for the
-// full 188-node sweep).
+// every algorithm at 64 nodes, 256 KiB (`repro run manifests/fig11.json`
+// runs the full 188-node sweep).
 func BenchmarkFig11ThroughputAtScale(b *testing.B) {
 	byAlgo := map[string]float64{}
 	for i := 0; i < b.N; i++ {

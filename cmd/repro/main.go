@@ -1,8 +1,8 @@
 // repro is the single entry point for every experiment in this
-// repository: manifest-driven runs (`repro run manifests/pr.json`),
-// manifest linting (`repro validate`), and flag-compatible shims for the
-// seven historical benchmark binaries (`repro osu`, `repro chaos`, ...).
-// Run `repro help` for the full subcommand list.
+// repository. An experiment is a JSON manifest: `repro run
+// manifests/pr.json` executes one, `repro validate` checks it, and
+// `repro replay` steps through one of its points. `repro list` and
+// `repro trace` are the helpers. Run `repro help` for the full list.
 package main
 
 import (

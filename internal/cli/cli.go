@@ -1,5 +1,5 @@
-// Package cli holds the flag-parsing, validation and profiling helpers
-// shared by every repro subcommand.
+// Package cli holds the flag-validation and profiling helpers shared by
+// the repro subcommands.
 //
 // The exit-code convention across the tool: 2 for invalid flags or
 // parameters (anything Validate or flag parsing rejects, before the
@@ -12,31 +12,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
-	"slices"
-	"strings"
 )
-
-// SplitList parses a comma-separated flag value, trimming whitespace and
-// dropping empty elements — the shared parser behind -algos, -scenarios
-// and -workloads.
-func SplitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // Validate is the single exit-code-2 gate every subcommand funnels its
 // parsed flags through: it returns the first failing check, prefixed with
 // the subcommand name. Each check below returns nil or a descriptive
 // error, so a subcommand's whole flag contract reads as one call:
 //
-//	err := cli.Validate("osu",
-//		cli.InRange("nodes", *nodes, 1, 188),
-//		cli.Positive("iters", *iters),
+//	err := cli.Validate("run",
+//		cli.NonNegative("workers", *workers),
 //		cli.Writable("json", *jsonPath))
 func Validate(cmd string, checks ...error) error {
 	for _, err := range checks {
@@ -59,22 +43,6 @@ func Positive(name string, v int) error {
 func NonNegative(name string, v int) error {
 	if v < 0 {
 		return fmt.Errorf("-%s must be >= 0, got %d", name, v)
-	}
-	return nil
-}
-
-// InRange requires lo <= v <= hi.
-func InRange(name string, v, lo, hi int) error {
-	if v < lo || v > hi {
-		return fmt.Errorf("-%s must be in [%d,%d], got %d", name, lo, hi, v)
-	}
-	return nil
-}
-
-// OneOf requires v to be a member of have.
-func OneOf(name, v string, have []string) error {
-	if !slices.Contains(have, v) {
-		return fmt.Errorf("-%s: unknown value %q (have %v)", name, v, have)
 	}
 	return nil
 }

@@ -3,27 +3,9 @@ package cli
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
-
-func TestSplitList(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-	}{
-		{"a,b", []string{"a", "b"}},
-		{" a , b ", []string{"a", "b"}},
-		{"a,,b,", []string{"a", "b"}},
-		{"", nil},
-	}
-	for _, c := range cases {
-		if got := SplitList(c.in); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("SplitList(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
 
 // TestValidate is the table test for the unified exit-code-2 flag gate:
 // every check type, passing and failing, and the subcommand-name prefix.
@@ -39,11 +21,6 @@ func TestValidate(t *testing.T) {
 		{"positive negative", Positive("iters", -3), "-iters must be positive"},
 		{"nonnegative ok", NonNegative("warmup", 0), ""},
 		{"nonnegative bad", NonNegative("warmup", -1), "-warmup must be >= 0"},
-		{"inrange ok", InRange("nodes", 188, 1, 188), ""},
-		{"inrange low", InRange("nodes", 0, 1, 188), "-nodes must be in [1,188]"},
-		{"inrange high", InRange("nodes", 189, 1, 188), "-nodes must be in [1,188]"},
-		{"oneof ok", OneOf("op", "allgather", []string{"allgather", "broadcast"}), ""},
-		{"oneof bad", OneOf("op", "gather", []string{"allgather", "broadcast"}), `-op: unknown value "gather"`},
 		{"writable empty", Writable("json", ""), ""},
 		{"writable ok", Writable("json", filepath.Join(tmp, "out.json")), ""},
 		{"writable missing dir", Writable("json", filepath.Join(tmp, "nope", "out.json")), "does not exist"},

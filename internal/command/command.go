@@ -1,10 +1,7 @@
-// Package command implements every subcommand of the repro binary: the
-// manifest-driven entry points (run, validate, list) and the seven
-// flag-compatible shims that replaced the historical per-experiment
-// binaries (osu, ag, traffic, dpa, cost, chaos, train). Each shim parses
-// the exact flag surface its binary had, builds a manifest.Manifest in
-// memory, and goes through the same compile/execute path `repro run`
-// uses — one wiring, eight doors.
+// Package command implements every subcommand of the repro binary. An
+// experiment is specified one way only: a strict JSON manifest passed to
+// run, validate or replay. list prints what a manifest can reference, and
+// trace summarizes a metrics.json a run wrote.
 //
 // Subcommands return exit codes instead of exiting, so the whole surface
 // is table-testable: 0 success, 1 runtime failure (simulation errors,
@@ -29,13 +26,6 @@ var subcommands = []subcommand{
 	{"list", "print registered kinds, algorithms, scenarios, workloads and presets", runList},
 	{"trace", "summarize a telemetry metrics.json: repro trace [-top N] <metrics.json>", runTraceCmd},
 	{"replay", "seek-and-step debugger over one collective point: repro replay [-at US] [-steps N] <manifest>", runReplay},
-	{"osu", "OSU-style collective microbenchmark (was cmd/osu)", runOSU},
-	{"ag", "at-scale collective figures 10/11 (was cmd/agbench)", runAG},
-	{"traffic", "figure 12 switch-port traffic (was cmd/trafficbench)", runTraffic},
-	{"dpa", "SmartNIC offloading figures/tables (was cmd/dpabench)", runDPA},
-	{"cost", "analytic cost-model artifacts (was cmd/costmodel)", runCost},
-	{"chaos", "collectives under perturbation scenarios (was cmd/chaosbench)", runChaos},
-	{"train", "training-workload benchmark (was cmd/trainbench)", runTrain},
 }
 
 // Run dispatches args[0] as a subcommand and returns its exit code.
@@ -67,6 +57,7 @@ func usage(w io.Writer) {
 		fmt.Fprintf(w, "  %-9s %s\n", sc.name, sc.summary)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Every subcommand is deterministic: the same arguments produce")
-	fmt.Fprintln(w, "byte-identical -json output at any -workers count.")
+	fmt.Fprintln(w, "Every experiment is a JSON manifest (see manifests/). Runs are")
+	fmt.Fprintln(w, "deterministic: the same manifest produces byte-identical -json")
+	fmt.Fprintln(w, "output at any -workers count.")
 }

@@ -19,67 +19,85 @@ func run(args ...string) (int, string, string) {
 	return code, out.String(), errb.String()
 }
 
-// TestExitCodes is the table test over the unified flag-validation
-// convention: exit 2 for anything rejected before the simulation starts,
-// on every subcommand — including the output-path checks trafficbench
-// historically lacked.
+// TestExitCodes is the table test over the exit-code convention: exit 2
+// for anything rejected before the simulation starts — a bad flag, an
+// unreadable or invalid manifest — on every subcommand.
 func TestExitCodes(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "nope", "out.json")
-	small := smallOSUManifest(t, t.TempDir(), "small.json", "", "")
-	// A manifest carrying the removed engine shard-count field.
-	withShards := filepath.Join(t.TempDir(), "shards.json")
-	if err := os.WriteFile(withShards, []byte(`{"kind": "osu", "shards": 4}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "nope", "out.json")
+	small := smallOSUManifest(t, dir, "small.json", "", "")
+	bad := func(name, body string) string { return writeManifest(t, dir, name, body) }
+	const osuGrid = `"kind": "osu", "grid": {"algorithms": ["mcast-allgather"], "nodes": [8], "sizes": [4096]}`
+	seeded := bad("seeded.json", `{"kind": "dpa", "all": true, "seed": 1}`)
 	cases := []struct {
 		name string
 		args []string
 		want int
 		err  string // substring expected on stderr ("" = don't check)
+		once string // substring expected exactly once on stderr ("" = don't check)
 	}{
-		{"no args", nil, 2, "usage"},
-		{"unknown subcommand", []string{"frobnicate"}, 2, "unknown subcommand"},
-		{"help", []string{"help"}, 0, ""},
-		{"bad flag", []string{"osu", "-no-such-flag"}, 2, ""},
+		{"no args", nil, 2, "usage", ""},
+		{"unknown subcommand", []string{"frobnicate"}, 2, "unknown subcommand", ""},
+		{"removed osu subcommand", []string{"osu", "-nodes", "8"}, 2, "unknown subcommand", ""},
+		{"help", []string{"help"}, 0, "", ""},
 
-		{"osu bad nodes", []string{"osu", "-nodes", "0"}, 2, "[1,188]"},
-		{"osu bad iters", []string{"osu", "-iters", "0"}, 2, "-iters must be positive"},
-		{"osu bad sizes", []string{"osu", "-sizes", "banana"}, 2, "bad size"},
-		{"osu bad algo", []string{"osu", "-algo", "nope"}, 2, "unknown algorithm"},
-		{"osu unregistered combo", []string{"osu", "-algo", "bruck", "-op", "broadcast"}, 2, "unknown algorithm"},
-		{"osu bad json dir", []string{"osu", "-json", missing}, 2, "does not exist"},
-		{"osu bad workers", []string{"osu", "-workers", "-2"}, 2, "-workers must be >= 0"},
+		{"run bad flag", []string{"run", "-no-such-flag", small}, 2, "flag provided but not defined", ""},
+		{"run removed telemetry flag", []string{"run", "-telemetry", small}, 2, "flag provided but not defined: -telemetry", ""},
+		{"run bad json dir", []string{"run", "-json", missing, small}, 2, "does not exist", ""},
+		{"run bad csv dir", []string{"run", "-csv", missing, small}, 2, "does not exist", ""},
+		{"run bad workers", []string{"run", "-workers", "-2", small}, 2, "-workers must be >= 0", ""},
+		{"run negative tol", []string{"run", "-tol", "-3", "-compare", small, small}, 2, "-tol must be >= 0", ""},
+		{"run yaml manifest", []string{"run", bad("x.yaml", "kind: osu\n")}, 2, "unknown extension", ""},
+		{"run string sizes", []string{"run", bad("strsizes.json",
+			`{"kind": "osu", "grid": {"algorithms": ["mcast-allgather"], "nodes": [8], "sizes": "4096:65536"}}`)},
+			2, "cannot unmarshal string", ""},
 
-		{"chaos bad scenario", []string{"chaos", "-scenarios", "hurricane"}, 2, "hurricane"},
-		{"chaos bad json dir", []string{"chaos", "-json", missing}, 2, "does not exist"},
+		{"osu nodes low", []string{"run", bad("osu-nodes.json",
+			`{"kind": "osu", "grid": {"algorithms": ["mcast-allgather"], "nodes": [0], "sizes": [4096]}}`)},
+			2, "[1,188]", ""},
+		{"osu negative iters", []string{"run", bad("osu-iters.json", `{`+osuGrid+`, "osu": {"iters": -1}}`)},
+			2, "osu.iters must be >= 0", ""},
+		{"osu unknown algorithm", []string{"run", bad("osu-algo.json",
+			`{"kind": "osu", "grid": {"algorithms": ["nope-allgather"], "nodes": [8], "sizes": [4096]}}`)},
+			2, "unknown algorithm", ""},
+		{"osu unregistered combo", []string{"run", bad("osu-combo.json",
+			`{"kind": "osu", "grid": {"algorithms": ["bruck-broadcast"], "nodes": [8], "sizes": [4096]}}`)},
+			2, "unknown algorithm", ""},
 
-		{"train bad layers", []string{"train", "-layers", "0"}, 2, "-layers must be positive"},
-		{"train bad workload", []string{"train", "-workloads", "nope"}, 2, "unknown workload"},
-		{"train bad json dir", []string{"train", "-json", missing}, 2, "does not exist"},
+		{"chaos unknown scenario", []string{"run", bad("chaos-scn.json",
+			`{"kind": "chaos", "grid": {"algorithms": ["mcast-allgather"], "scenarios": ["hurricane"], "nodes": [8], "sizes": [4096]}}`)},
+			2, "hurricane", ""},
 
-		{"traffic bad nodes", []string{"traffic", "-nodes", "1"}, 2, "[2,188]"},
-		{"traffic bad iters", []string{"traffic", "-iters", "0"}, 2, "-iters must be positive"},
-		{"traffic bad json dir", []string{"traffic", "-json", missing}, 2, "does not exist"},
-		{"traffic bad csv dir", []string{"traffic", "-csv", missing}, 2, "does not exist"},
+		{"train unknown workload", []string{"run", bad("train-wl.json",
+			`{"kind": "train", "grid": {"workloads": ["nope"], "nodes": [8], "sizes": [4096]}}`)},
+			2, "unknown workload", ""},
+		{"train negative layers", []string{"run", bad("train-layers.json",
+			`{"kind": "train", "grid": {"workloads": ["fsdp-ring"], "nodes": [8], "sizes": [4096]}, "train": {"layers": -1}}`)},
+			2, "train.layers", ""},
 
-		{"ag no fig", []string{"ag"}, 2, "exactly one figure"},
-		{"ag bad fig", []string{"ag", "-fig", "12"}, 2, "exactly one figure"},
-		{"ag bad json dir", []string{"ag", "-fig", "10", "-json", missing}, 2, "does not exist"},
+		{"traffic nodes low", []string{"run", bad("traffic-nodes.json",
+			`{"kind": "traffic", "grid": {"nodes": [1], "sizes": [65536]}}`)},
+			2, "[2,188]", ""},
+		{"traffic negative iters", []string{"run", bad("traffic-iters.json",
+			`{"kind": "traffic", "grid": {"nodes": [8], "sizes": [65536]}, "traffic": {"iters": -1}}`)},
+			2, "traffic.iters must be >= 0", ""},
 
-		{"dpa nothing selected", []string{"dpa"}, 2, "figures, tables or all"},
-		{"dpa bad fig", []string{"dpa", "-fig", "6"}, 2, "no figure 6"},
-		{"dpa bad json dir", []string{"dpa", "-fig", "5", "-json", missing}, 2, "does not exist"},
+		{"ag no figure", []string{"run", bad("ag-none.json", `{"kind": "ag"}`)}, 2, "exactly one figure", ""},
+		{"ag figure 12", []string{"run", bad("ag-12.json", `{"kind": "ag", "figures": [12]}`)}, 2, "exactly one figure", ""},
 
-		{"cost nothing selected", []string{"cost"}, 2, "figures, speedup, economics or all"},
-		{"cost bad fig", []string{"cost", "-fig", "3"}, 2, "no figure 3"},
-		{"cost bad json dir", []string{"cost", "-fig", "2", "-json", missing}, 2, "does not exist"},
+		{"dpa nothing selected", []string{"run", bad("dpa-none.json", `{"kind": "dpa"}`)}, 2, "figures, tables or all", ""},
+		{"dpa figure 6", []string{"run", bad("dpa-6.json", `{"kind": "dpa", "figures": [6]}`)}, 2, "no figure 6", ""},
 
-		{"run no manifest", []string{"run"}, 2, "usage"},
-		{"run missing file", []string{"run", filepath.Join(t.TempDir(), "absent.json")}, 2, ""},
-		{"run shards flag", []string{"run", "-shards", "2", small}, 2, "flag provided but not defined: -shards"},
-		{"run shards field", []string{"run", withShards}, 2, `unknown field "shards"`},
-		{"validate no args", []string{"validate"}, 2, "usage"},
-		{"list extra args", []string{"list", "x"}, 2, "usage"},
+		{"cost nothing selected", []string{"run", bad("cost-none.json", `{"kind": "cost"}`)}, 2, "figures, speedup, economics or all", ""},
+		{"cost figure 3", []string{"run", bad("cost-3.json", `{"kind": "cost", "figures": [3]}`)}, 2, "no figure 3", ""},
+
+		{"run no manifest", []string{"run"}, 2, "usage", ""},
+		{"run missing file", []string{"run", filepath.Join(dir, "absent.json")}, 2, "", ""},
+		{"run shards flag", []string{"run", "-shards", "2", small}, 2, "flag provided but not defined: -shards", ""},
+		{"run shards field", []string{"run", bad("shards.json", `{"kind": "osu", "shards": 4}`)}, 2, `unknown field "shards"`, ""},
+		{"validate no args", []string{"validate"}, 2, "usage", ""},
+		{"validate names the path once", []string{"validate", seeded}, 2, "does not consume seed", seeded},
+		{"list extra args", []string{"list", "x"}, 2, "usage", ""},
 	}
 	for _, c := range cases {
 		code, _, stderr := run(c.args...)
@@ -90,6 +108,38 @@ func TestExitCodes(t *testing.T) {
 		if c.err != "" && !strings.Contains(stderr, c.err) {
 			t.Errorf("%s: stderr %q does not contain %q", c.name, stderr, c.err)
 		}
+		if c.once != "" && strings.Count(stderr, c.once) != 1 {
+			t.Errorf("%s: stderr %q names %q %d times, want once", c.name, stderr, c.once, strings.Count(stderr, c.once))
+		}
+	}
+}
+
+// TestCompareNeedsSharedPoints pins the -compare guard: a baseline that
+// shares no point with the run (an unrelated report, or a file that is
+// not a report at all) fails with exit 1 naming the baseline, instead of
+// passing because nothing was compared. A baseline of the run's own
+// output is the passing control.
+func TestCompareNeedsSharedPoints(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "BASE.json")
+	m4 := smallOSUManifest(t, dir, "m4.json", "", "")
+	if code, _, stderr := run("run", "-json", base, m4); code != 0 {
+		t.Fatalf("baseline run: exit %d, stderr %s", code, stderr)
+	}
+	m8 := writeManifest(t, dir, "m8.json",
+		`{"kind": "osu", "grid": {"algorithms": ["mcast-allgather"], "nodes": [8], "sizes": [4096]}, "osu": {"iters": 1}}`)
+	for _, c := range []struct{ name, manifest, baseline string }{
+		{"unrelated report", m8, base},
+		{"manifest as baseline", m4, m8},
+	} {
+		code, _, stderr := run("run", "-compare", c.baseline, c.manifest)
+		if code != 1 || !strings.Contains(stderr, c.baseline+" shares no point") {
+			t.Errorf("%s: exit %d, stderr %q; want 1 naming the baseline", c.name, code, stderr)
+		}
+	}
+	code, stdout, stderr := run("run", "-compare", base, m4)
+	if code != 0 || !strings.Contains(stdout, "no metric moved beyond tolerance") {
+		t.Errorf("self-compare: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
 }
 
@@ -217,7 +267,7 @@ func smallOSUManifest(t *testing.T, dir, name, json, digest string) string {
 		Grid: manifest.Grid{
 			Algorithms: []string{"mcast-allgather"},
 			Nodes:      []int{4},
-			Sizes:      manifest.Sizes{4096},
+			Sizes:      []int{4096},
 		},
 		OSU:    &manifest.OSUSpec{Iters: 1},
 		Output: manifest.Output{JSON: json},
@@ -302,7 +352,7 @@ func TestDigestMismatchExitsOne(t *testing.T) {
 		Grid: manifest.Grid{
 			Algorithms: []string{"mcast-allgather"},
 			Nodes:      []int{4},
-			Sizes:      manifest.Sizes{4096},
+			Sizes:      []int{4096},
 		},
 		OSU:    &manifest.OSUSpec{Iters: 1},
 		Expect: &manifest.Expect{SHA256: strings.Repeat("0", 64)},
@@ -318,8 +368,8 @@ func TestDigestMismatchExitsOne(t *testing.T) {
 }
 
 // TestGoldenPRManifest pins the CI pr leg end to end: `repro run
-// manifests/pr.json` must reproduce the historical cmd/osu BENCH_pr.json
-// bytes, whose digest is declared in the manifest itself. The twin
+// manifests/pr.json` must reproduce the BENCH_pr.json bytes whose digest
+// is declared in the manifest itself. The twin
 // manifest carries the same digest, so worker-count determinism rides on
 // the same pin.
 func TestGoldenPRManifest(t *testing.T) {

@@ -17,35 +17,30 @@ import (
 	"repro/internal/telemetry"
 )
 
-// common is the flag surface shared by every subcommand that executes a
+// common is the flag surface shared by the subcommands that execute a
 // plan: output targets, pool sizing, telemetry, and diagnostics.
 type common struct {
 	jsonPath     string
 	csvPath      string
 	workers      int
 	cpuprofile   string
-	telemetry    bool
 	metricsPath  string
 	perfettoPath string
 }
 
-// registerCommon adds the shared flags to a subcommand's FlagSet. The
-// workers default differs per caller (-1 on `run` means "use the
-// manifest's value"; 0 on the shims is the historical GOMAXPROCS
-// default).
-func (c *common) register(fs *flag.FlagSet, workersDefault int) {
+// register adds the shared flags to a subcommand's FlagSet. A -workers
+// value of -1 (the default) defers to the manifest's workers field.
+func (c *common) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.jsonPath, "json", "", "write sweep records as JSON to this path")
 	fs.StringVar(&c.csvPath, "csv", "", "write sweep records as CSV to this path")
-	fs.IntVar(&c.workers, "workers", workersDefault, "sweep worker goroutines (0 = GOMAXPROCS)")
+	fs.IntVar(&c.workers, "workers", -1, "sweep worker goroutines (0 = GOMAXPROCS; -1 = the manifest's value)")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
-	fs.BoolVar(&c.telemetry, "telemetry", false, "collect the deterministic metrics registry during the sweep")
-	fs.StringVar(&c.metricsPath, "metrics", "", "write canonical telemetry metrics.json to this path (implies -telemetry)")
-	fs.StringVar(&c.perfettoPath, "perfetto", "", "write a Perfetto/Chrome trace of the representative run to this path (implies -telemetry)")
+	fs.StringVar(&c.metricsPath, "metrics", "", "write canonical telemetry metrics.json to this path (enables telemetry)")
+	fs.StringVar(&c.perfettoPath, "perfetto", "", "write a Perfetto/Chrome trace of the representative run to this path (enables telemetry)")
 }
 
 // validate is the shared exit-code-2 gate for the common flags. A
-// workers value of -1 is the `run` sentinel for "defer to the manifest"
-// and passes.
+// workers value of -1 means "defer to the manifest" and passes.
 func (c *common) validate() []error {
 	checks := []error{
 		cli.Writable("json", c.jsonPath),
@@ -71,7 +66,7 @@ func (c *common) apply(m *manifest.Manifest) {
 	if c.workers >= 0 {
 		m.Workers = c.workers
 	}
-	if c.telemetry || c.metricsPath != "" || c.perfettoPath != "" {
+	if c.metricsPath != "" || c.perfettoPath != "" {
 		if m.Telemetry == nil {
 			m.Telemetry = &manifest.TelemetrySpec{}
 		}
@@ -107,12 +102,12 @@ type diagnostics struct {
 	cpuprofile string
 }
 
-// execute is the single run path behind `repro run` and all seven shims:
-// compile the manifest, configure telemetry, run the plan,
-// persist/compare/verify the report, and optionally write a protocol
-// trace. Exit codes follow the repository convention (2 invalid spec,
-// 1 runtime failure).
-func execute(cmd string, m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) int {
+// execute is the run path behind `repro run`: compile the manifest,
+// configure telemetry, run the plan, persist/compare/verify the report,
+// and optionally write a protocol trace. Exit codes follow the repository
+// convention (2 invalid spec, 1 runtime failure).
+func execute(m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) int {
+	const cmd = "run"
 	plan, err := manifest.Compile(m)
 	if err != nil {
 		return fail(stderr, 2, "%s: %v", cmd, err)
@@ -236,6 +231,9 @@ func execute(cmd string, m manifest.Manifest, diag diagnostics, stdout, stderr i
 		if tol == 0 {
 			tol = 0.05
 		}
+		if matchedPoints(base, rep) == 0 {
+			return fail(stderr, 1, "%s: baseline %s shares no point with this run; nothing to compare", cmd, m.Baseline.Path)
+		}
 		deltas := sweep.Compare(base, rep, tol)
 		fmt.Fprintf(stdout, "# vs %s (tol %.0f%%):\n", m.Baseline.Path, tol*100)
 		if err := sweep.WriteDeltas(stdout, deltas); err != nil {
@@ -246,4 +244,21 @@ func execute(cmd string, m manifest.Manifest, diag diagnostics, stdout, stderr i
 		}
 	}
 	return 0
+}
+
+// matchedPoints counts the records of cur that have a point with the same
+// key in base. sweep.Compare skips unmatched records, so a baseline that
+// shares no point would otherwise pass vacuously.
+func matchedPoints(base, cur sweep.Report) int {
+	keys := make(map[string]bool, len(base.Records))
+	for _, r := range base.Records {
+		keys[r.Spec.Key()] = true
+	}
+	n := 0
+	for _, r := range cur.Records {
+		if keys[r.Spec.Key()] {
+			n++
+		}
+	}
+	return n
 }

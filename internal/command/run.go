@@ -25,11 +25,11 @@ import (
 func runManifest(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro run", flag.ContinueOnError)
 	comparePath := fs.String("compare", "", "override the manifest baseline path")
-	tol := fs.Float64("tol", -1, "override the manifest baseline tolerance (>= 0)")
+	tol := fs.Float64("tol", 0, "override the manifest baseline tolerance (>= 0; 0 selects 0.05)")
 	tracePath := fs.String("trace", "", "write the Figure-9 protocol phase timeline of one representative run to this file")
 	outDir := fs.String("o", "", "redirect every output file the manifests declare into this directory (created if missing)")
 	var c common
-	c.register(fs, -1)
+	c.register(fs)
 	// Stdlib flag parsing stops at the first positional argument; re-parse
 	// the remainder so `repro run manifests/pr.json -json out.json` works
 	// as naturally as flags-first order.
@@ -60,7 +60,12 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
+	tolSet := false
+	fs.Visit(func(f *flag.Flag) { tolSet = tolSet || f.Name == "tol" })
 	checks := append(c.validate(), cli.Writable("trace", *tracePath))
+	if *tol < 0 {
+		checks = append(checks, fmt.Errorf("-tol must be >= 0, got %g", *tol))
+	}
 	if err := cli.Validate("run", checks...); err != nil {
 		return fail(stderr, 2, "%v", err)
 	}
@@ -80,7 +85,7 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 			}
 			m.Baseline.Path = *comparePath
 		}
-		if *tol >= 0 {
+		if tolSet {
 			if m.Baseline == nil {
 				return fail(stderr, 2, "run: -tol set but no baseline declared or passed via -compare")
 			}
@@ -93,7 +98,7 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 		if len(paths) > 1 {
 			fmt.Fprintf(stdout, "== %s\n", path)
 		}
-		if code := execute("run", m, diagnostics{trace: *tracePath, cpuprofile: c.cpuprofile}, stdout, stderr); code != 0 {
+		if code := execute(m, diagnostics{trace: *tracePath, cpuprofile: c.cpuprofile}, stdout, stderr); code != 0 {
 			return code
 		}
 	}
@@ -117,11 +122,8 @@ func redirectOutputs(m *manifest.Manifest, dir string) {
 	}
 }
 
-// manifestExts are the filename extensions expandManifestDirs collects.
-var manifestExts = map[string]bool{".json": true, ".yaml": true, ".yml": true}
-
 // expandManifestDirs replaces each directory argument with the manifest
-// files directly inside it (*.json, *.yaml, *.yml; sorted, non-recursive),
+// files directly inside it (*.json; sorted, non-recursive),
 // so `repro validate manifests` covers the whole tree without the caller
 // hand-listing files — and without a stale shell glob silently skipping a
 // newly added manifest.
@@ -142,14 +144,14 @@ func expandManifestDirs(paths []string) ([]string, error) {
 		}
 		n := 0
 		for _, e := range entries {
-			if e.IsDir() || !manifestExts[filepath.Ext(e.Name())] {
+			if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
 				continue
 			}
 			out = append(out, filepath.Join(p, e.Name()))
 			n++
 		}
 		if n == 0 {
-			return nil, fmt.Errorf("%s: directory holds no manifests (*.json, *.yaml, *.yml)", p)
+			return nil, fmt.Errorf("%s: directory holds no manifests (*.json)", p)
 		}
 	}
 	return out, nil
@@ -201,7 +203,8 @@ func runValidate(args []string, stdout, stderr io.Writer) int {
 	for _, path := range paths {
 		m, err := manifest.ParseFile(path)
 		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", path, err)
+			// ParseFile already names the path.
+			fmt.Fprintln(stderr, err)
 			bad++
 			continue
 		}

@@ -7,11 +7,26 @@ import (
 	"testing"
 )
 
-// osuMetricsArgs builds the fixed small OSU invocation the telemetry
-// determinism tests share, writing metrics.json to path.
-func osuMetricsArgs(path string, extra ...string) []string {
-	args := []string{"osu", "-nodes", "8", "-sizes", "65536", "-iters", "2", "-metrics", path}
-	return append(args, extra...)
+// osu8Manifest is the fixed small OSU manifest the telemetry determinism
+// tests share: 8 nodes, one 65536-byte point, 2 measured iterations.
+const osu8Manifest = `{
+  "kind": "osu",
+  "grid": {
+    "algorithms": ["mcast-allgather"],
+    "ops": ["allgather"],
+    "nodes": [8],
+    "sizes": [65536]
+  },
+  "osu": {"iters": 2}
+}`
+
+// osuMetricsArgs builds the `repro run` invocation of osu8Manifest that
+// writes metrics.json to path, with extra flags ahead of the manifest.
+func osuMetricsArgs(t *testing.T, path string, extra ...string) []string {
+	t.Helper()
+	m := writeManifest(t, t.TempDir(), "osu8.json", osu8Manifest)
+	args := append([]string{"run", "-metrics", path}, extra...)
+	return append(args, m)
 }
 
 // TestMetricsByteIdentity is the telemetry half of the determinism
@@ -32,7 +47,7 @@ func TestMetricsByteIdentity(t *testing.T) {
 	}
 	for name, extra := range configs {
 		path := filepath.Join(dir, name+".json")
-		if code, _, errOut := run(osuMetricsArgs(path, extra...)...); code != 0 {
+		if code, _, errOut := run(osuMetricsArgs(t, path, extra...)...); code != 0 {
 			t.Fatalf("%s: exit %d: %s", name, code, errOut)
 		}
 		got, err := os.ReadFile(path)
@@ -50,10 +65,11 @@ func TestMetricsByteIdentity(t *testing.T) {
 // enough to carry both protocol slices and counter tracks.
 func TestPerfettoDeterministic(t *testing.T) {
 	dir := t.TempDir()
+	m := writeManifest(t, dir, "osu8.json", osu8Manifest)
 	var traces [2][]byte
 	for i := range traces {
 		path := filepath.Join(dir, "trace"+string(rune('0'+i))+".json")
-		args := []string{"osu", "-nodes", "8", "-sizes", "65536", "-iters", "2", "-perfetto", path}
+		args := []string{"run", "-perfetto", path, m}
 		if code, _, errOut := run(args...); code != 0 {
 			t.Fatalf("run %d: exit %d: %s", i, code, errOut)
 		}
@@ -78,8 +94,8 @@ func TestPerfettoDeterministic(t *testing.T) {
 // written by a run, plus its flag validation.
 func TestTraceSubcommand(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
-	if code, _, errOut := run(osuMetricsArgs(path)...); code != 0 {
-		t.Fatalf("osu: %s", errOut)
+	if code, _, errOut := run(osuMetricsArgs(t, path)...); code != 0 {
+		t.Fatalf("run: %s", errOut)
 	}
 	code, out, errOut := run("trace", "-top", "3", path)
 	if code != 0 {

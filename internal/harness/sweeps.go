@@ -523,7 +523,7 @@ func CollTrace(s sweep.Spec, linkGbps float64) (*telemetry.Bundle, error) {
 
 // --- OSU-style kernel ------------------------------------------------------------
 
-// OSUConfig parameterizes the OSU-style measurement loop shared by cmd/osu:
+// OSUConfig parameterizes the OSU-style measurement loop of the osu manifest kind:
 // warm-up iterations excluded, per-size medians with nonparametric
 // confidence intervals (Hoefler–Belli guidelines).
 type OSUConfig struct {

@@ -9,8 +9,8 @@ import (
 )
 
 // telemetryCfg is the process-wide telemetry configuration, set once from
-// the -telemetry flags (or the manifest's telemetry block) before any sweep
-// runs. It is an execution knob, not a sweep axis: the canonical metrics a
+// the manifest's telemetry block (or `repro run -metrics`/`-perfetto`)
+// before any sweep runs. It is an execution knob, not a sweep axis: the canonical metrics a
 // run exports are byte-identical at every -workers value.
 var telemetryCfg telemetry.Config
 

@@ -32,7 +32,7 @@ type TrainConfig struct {
 }
 
 // TrainGrid declares the workload × shard-size × scenario product at one
-// scale: the grid cmd/trainbench expands. Workload names come from the
+// scale: the grid a train manifest compiles to. Workload names come from the
 // internal/workload preset registry; include "quiet" among the scenarios to
 // anchor the slowdown metric.
 func TrainGrid(workloads []string, nodes, shardBytes []int, scenarios []string, seed uint64) sweep.Grid {

@@ -1,11 +1,12 @@
 // Package manifest turns experiments into data: a manifest is a small
-// JSON (or YAML-subset) document declaring what to run — a kind naming the
+// strict JSON document declaring what to run — a kind naming the
 // experiment family (osu, chaos, train, traffic, dpa, cost, ag), the grid
 // axes it sweeps, and the run's bookkeeping (seed, workers, output
 // paths, a baseline to diff against, an expected output digest) — which
-// compiles onto the existing sweep.Grid / harness kernels. The seven
-// historical cmd binaries are thin shims that build one of these in memory;
-// CI is a matrix over the checked-in specs in manifests/.
+// compiles onto the existing sweep.Grid / harness kernels. It is the only
+// way to specify an experiment: `repro run`, `repro validate` and
+// `repro replay` all take one, and CI is a matrix over the checked-in
+// specs in manifests/.
 //
 // The contract mirrors the sweep engine's: the same manifest always
 // produces byte-identical JSON output at any worker count, so a
@@ -19,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 
 	"repro/internal/collective"
@@ -28,8 +28,10 @@ import (
 	"repro/internal/workload"
 )
 
-// Kinds enumerates the experiment families a manifest can declare, each
-// mapping onto one historical cmd binary's wiring.
+// Kinds enumerates the experiment families a manifest can declare. Each
+// compiles onto one harness driver. The report names they derive (osu or
+// osu-<algorithm>, chaosbench, trainbench, trafficbench-fig12, dpabench,
+// costmodel, agbench-fig<N>) are part of the digested report bytes.
 var Kinds = []string{"osu", "chaos", "train", "traffic", "dpa", "cost", "ag"}
 
 // Manifest is one declarative experiment spec. Field presence is
@@ -100,7 +102,7 @@ type Grid struct {
 	Workloads  []string `json:"workloads,omitempty"`
 	Ops        []string `json:"ops,omitempty"`
 	Nodes      []int    `json:"nodes,omitempty"`
-	Sizes      Sizes    `json:"sizes,omitempty"`
+	Sizes      []int    `json:"sizes,omitempty"`
 	Scenarios  []string `json:"scenarios,omitempty"`
 }
 
@@ -177,68 +179,6 @@ type Expect struct {
 	SHA256 string `json:"sha256"`
 }
 
-// Sizes is a []int axis that additionally unmarshals from the historical
-// -sizes string forms: a doubling range "4096:1048576" or a comma list
-// "4096,65536". It always marshals as a plain JSON array — the canonical
-// form checked-in manifests use.
-type Sizes []int
-
-// UnmarshalJSON accepts an int array or a range/comma string.
-func (s *Sizes) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var str string
-		if err := json.Unmarshal(b, &str); err != nil {
-			return err
-		}
-		sizes, err := ParseSizes(str)
-		if err != nil {
-			return err
-		}
-		*s = sizes
-		return nil
-	}
-	var ints []int
-	if err := json.Unmarshal(b, &ints); err != nil {
-		return err
-	}
-	*s = ints
-	return nil
-}
-
-// ParseSizes parses the -sizes flag grammar shared by the osu subcommand
-// and string-form manifest axes: "min:max" doubles from min to max,
-// otherwise a comma-separated list.
-func ParseSizes(s string) ([]int, error) {
-	if strings.Contains(s, ":") {
-		lo, hi, _ := strings.Cut(s, ":")
-		loN, err := strconv.Atoi(strings.TrimSpace(lo))
-		if err != nil {
-			return nil, fmt.Errorf("bad size range %q: %w", s, err)
-		}
-		hiN, err := strconv.Atoi(strings.TrimSpace(hi))
-		if err != nil {
-			return nil, fmt.Errorf("bad size range %q: %w", s, err)
-		}
-		if loN <= 0 || hiN < loN {
-			return nil, fmt.Errorf("bad size range %q", s)
-		}
-		var out []int
-		for n := loN; n <= hiN; n *= 2 {
-			out = append(out, n)
-		}
-		return out, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad size list %q: %w", s, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 // Parse decodes a manifest from JSON bytes, rejecting unknown fields at
 // every nesting level so a typo'd or drifting axis fails instead of being
 // ignored. The result is validated.
@@ -259,34 +199,22 @@ func Parse(b []byte) (Manifest, error) {
 	return m, nil
 }
 
-// ParseFile loads a manifest from disk, selecting the decoder by
-// extension: .json is parsed directly, .yaml/.yml through the YAML-subset
-// reader.
+// ParseFile loads a JSON manifest from disk. Any other extension is
+// rejected, so a manifest in another format fails instead of being
+// misread. Errors name the path.
 func ParseFile(path string) (Manifest, error) {
+	if ext := filepath.Ext(path); ext != ".json" {
+		return Manifest{}, fmt.Errorf("manifest: %s: unknown extension %q (want .json)", path, ext)
+	}
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return Manifest{}, fmt.Errorf("manifest: %w", err)
 	}
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".json":
-		m, err := Parse(b)
-		if err != nil {
-			return Manifest{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return m, nil
-	case ".yaml", ".yml":
-		jb, err := yamlToJSON(b)
-		if err != nil {
-			return Manifest{}, fmt.Errorf("%s: %w", path, err)
-		}
-		m, err := Parse(jb)
-		if err != nil {
-			return Manifest{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return m, nil
-	default:
-		return Manifest{}, fmt.Errorf("manifest: %s: unknown extension (want .json, .yaml or .yml)", path)
+	m, err := Parse(b)
+	if err != nil {
+		return Manifest{}, fmt.Errorf("%s: %w", path, err)
 	}
+	return m, nil
 }
 
 // Encode renders the manifest in its canonical form: 2-space-indented JSON

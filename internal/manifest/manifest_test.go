@@ -30,42 +30,6 @@ func parseErr(t *testing.T, src, want string) {
 	}
 }
 
-func TestParseSizes(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []int
-	}{
-		{"4096:16384", []int{4096, 8192, 16384}},
-		{"4096:4096", []int{4096}},
-		{"1024, 4096", []int{1024, 4096}},
-		{"65536", []int{65536}},
-	}
-	for _, c := range cases {
-		got, err := ParseSizes(c.in)
-		if err != nil {
-			t.Fatalf("ParseSizes(%q): %v", c.in, err)
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("ParseSizes(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	for _, bad := range []string{"0:4096", "8:4", "a:b", "4096,x", ""} {
-		if _, err := ParseSizes(bad); err == nil {
-			t.Fatalf("ParseSizes(%q): expected error", bad)
-		}
-	}
-}
-
-func TestSizesStringForms(t *testing.T) {
-	// All three spellings of the sizes axis decode to the same ints.
-	array := parseOK(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096,8192,16384]}}`)
-	rng := parseOK(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":"4096:16384"}}`)
-	list := parseOK(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":"4096,8192,16384"}}`)
-	if !reflect.DeepEqual(array.Grid.Sizes, rng.Grid.Sizes) || !reflect.DeepEqual(array.Grid.Sizes, list.Grid.Sizes) {
-		t.Fatalf("sizes forms disagree: %v / %v / %v", array.Grid.Sizes, rng.Grid.Sizes, list.Grid.Sizes)
-	}
-}
-
 func TestParseRejectsUnknownFields(t *testing.T) {
 	// Top level, nested object, and the grid all reject unknown keys.
 	parseErr(t, `{"kind":"osu","bogus":1}`, "bogus")
@@ -95,8 +59,8 @@ func TestValidateCrossChecks(t *testing.T) {
 }
 
 // TestCheckedInManifestsCanonical pins the canonical form of everything
-// under manifests/: each JSON document must re-encode to its own bytes
-// (Parse∘Encode is the identity), and every manifest must compile.
+// under manifests/: every file is a JSON manifest, each re-encodes to its
+// own bytes (Parse∘Encode is the identity), and every manifest compiles.
 func TestCheckedInManifestsCanonical(t *testing.T) {
 	dir := filepath.Join("..", "..", "manifests")
 	entries, err := os.ReadDir(dir)
@@ -114,9 +78,6 @@ func TestCheckedInManifestsCanonical(t *testing.T) {
 		if _, err := Compile(m); err != nil {
 			t.Errorf("%s: compile: %v", path, err)
 		}
-		if filepath.Ext(path) != ".json" {
-			continue
-		}
 		seen++
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -132,8 +93,9 @@ func TestCheckedInManifestsCanonical(t *testing.T) {
 }
 
 // TestRoundTripThroughGrid walks a manifest to its compiled sweep.Grid and
-// back: the grid the PR manifest compiles to must be exactly the legacy
-// cmd/osu CI grid, and re-encoding the parsed manifest must be stable.
+// back: the grid the PR manifest compiles to must be exactly the CI pr
+// leg's 32-node doubling-size grid, and re-encoding the parsed manifest
+// must be stable.
 func TestRoundTripThroughGrid(t *testing.T) {
 	m, err := ParseFile(filepath.Join("..", "..", "manifests", "pr.json"))
 	if err != nil {
