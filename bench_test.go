@@ -1,14 +1,15 @@
 package repro
 
 // One benchmark per table and figure of the paper's evaluation. Each
-// iteration runs the corresponding harness experiment on the simulator and
+// iteration runs the corresponding harness sweep on the simulator and
 // reports the headline quantity through b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //
-// regenerates every result series. The cmd/ binaries print the full tables
-// at paper scale; the benchmarks use bounded parameter sets so the whole
-// suite completes in minutes.
+// regenerates every result series. The checked-in manifests (`repro run
+// manifests/<name>.json`) print the full tables at paper scale; the
+// benchmarks use bounded parameter sets so the whole suite completes in
+// minutes.
 
 import (
 	"testing"
@@ -16,8 +17,20 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/model"
+	"repro/internal/sweep"
 	"repro/internal/verbs"
 )
+
+// runSweep runs specs through kernel on the worker pool, failing the
+// benchmark on a kernel error.
+func runSweep(b *testing.B, specs []sweep.Spec, kernel sweep.Func) []sweep.Record {
+	b.Helper()
+	recs, err := sweep.Run(specs, 0, kernel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return recs
+}
 
 // BenchmarkFig02TrafficModel evaluates the analytic traffic model on the
 // 1024-node radix-32 fat-tree and reports the ring/multicast savings.
@@ -42,8 +55,9 @@ func BenchmarkFig02TrafficModel(b *testing.B) {
 func BenchmarkFig05SingleCoreDatapath(b *testing.B) {
 	var cpu, dpa float64
 	for i := 0; i < b.N; i++ {
-		pts := harness.Fig5SingleCore([]int{1 << 20})
-		cpu, dpa = pts[0].CPUGbps, pts[0].DPAGbps
+		// One size: the CPU record comes first, then the DPA record.
+		recs := runSweep(b, harness.Fig5Specs([]int{1 << 20}), harness.RxKernel)
+		cpu, dpa = recs[0].Metric("gbps"), recs[1].Metric("gbps")
 	}
 	b.ReportMetric(cpu, "cpu-Gbps")
 	b.ReportMetric(dpa, "dpa-Gbps")
@@ -65,11 +79,8 @@ func BenchmarkFig07BitmapModel(b *testing.B) {
 func BenchmarkFig10Breakdown(b *testing.B) {
 	var mcastFrac float64
 	for i := 0; i < b.N; i++ {
-		pts, err := harness.Fig10Breakdown([]int{64}, []int{256 << 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		mcastFrac = pts[0].McastFrac
+		recs := runSweep(b, harness.Fig10Grid([]int{64}, []int{256 << 10}).Expand(), harness.CollKernel)
+		mcastFrac = recs[0].Metric("mcast_frac")
 	}
 	b.ReportMetric(mcastFrac*100, "%mcast-phase")
 }
@@ -80,12 +91,8 @@ func BenchmarkFig10Breakdown(b *testing.B) {
 func BenchmarkFig11ThroughputAtScale(b *testing.B) {
 	byAlgo := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		pts, err := harness.Fig11Throughput(64, []int{256 << 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			byAlgo[p.Algo] = p.GiBps
+		for _, r := range runSweep(b, harness.Fig11Specs(64, []int{256 << 10}), harness.CollKernel) {
+			byAlgo[r.Spec.Algorithm] = r.Metric("gibps")
 		}
 	}
 	b.ReportMetric(byAlgo["mcast-broadcast"], "mcastBcast-GiB/s")
@@ -100,17 +107,14 @@ func BenchmarkFig11ThroughputAtScale(b *testing.B) {
 func BenchmarkFig12TrafficSavings(b *testing.B) {
 	var bcast, ag float64
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Fig12Traffic(64, 64<<10, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Algo == "mcast" {
-				if r.Op == "broadcast" {
-					bcast = r.Savings
-				} else {
-					ag = r.Savings
-				}
+		recs := runSweep(b, harness.Fig12Specs(64, 64<<10), harness.Fig12Kernel(2))
+		harness.AnnotateSavings(recs)
+		for _, r := range recs {
+			switch r.Spec.Algorithm {
+			case "mcast-broadcast":
+				bcast = r.Metric("savings_vs_p2p")
+			case "mcast-allgather":
+				ag = r.Metric("savings_vs_p2p")
 			}
 		}
 	}
@@ -122,11 +126,11 @@ func BenchmarkFig12TrafficSavings(b *testing.B) {
 func BenchmarkTable1SingleThread(b *testing.B) {
 	var uc, ud float64
 	for i := 0; i < b.N; i++ {
-		for _, r := range harness.Table1SingleThread() {
-			if r.Datapath == "UC" {
-				uc = r.ThroughputGiBps
+		for _, r := range runSweep(b, harness.Table1Grid().Expand(), harness.RxKernel) {
+			if r.Spec.Transport == "uc" {
+				uc = r.Metric("gibps")
 			} else {
-				ud = r.ThroughputGiBps
+				ud = r.Metric("gibps")
 			}
 		}
 	}
@@ -139,13 +143,12 @@ func BenchmarkTable1SingleThread(b *testing.B) {
 func BenchmarkFig13ThreadScaling(b *testing.B) {
 	var ud8, uc4 float64
 	for i := 0; i < b.N; i++ {
-		pts, _ := harness.Fig13ThreadScaling([]int{4, 8})
-		for _, p := range pts {
-			if p.Transport == "UD" && p.Threads == 8 {
-				ud8 = p.GiBps
+		for _, r := range runSweep(b, harness.Fig13Specs([]int{4, 8}), harness.RxKernel) {
+			if r.Spec.Transport == "ud" && r.Spec.Threads == 8 {
+				ud8 = r.Metric("gibps")
 			}
-			if p.Transport == "UC" && p.Threads == 4 {
-				uc4 = p.GiBps
+			if r.Spec.Transport == "uc" && r.Spec.Threads == 4 {
+				uc4 = r.Metric("gibps")
 			}
 		}
 	}
@@ -174,8 +177,8 @@ func BenchmarkFig14LinkUtilization(b *testing.B) {
 func BenchmarkFig15ChunkSize(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
-		pts := harness.Fig15ChunkSize([]int{64 << 10}, []int{1})
-		share = pts[0].LinkShare
+		recs := runSweep(b, harness.Fig15Grid([]int{64 << 10}, []int{1}).Expand(), harness.RxKernel)
+		share = recs[0].Metric("link_share")
 	}
 	b.ReportMetric(share*100, "UC-64KiB-1thr-%peak")
 }
@@ -185,11 +188,11 @@ func BenchmarkFig15ChunkSize(b *testing.B) {
 func BenchmarkFig16TbitScaling(b *testing.B) {
 	var udRate, ucRate float64
 	for i := 0; i < b.N; i++ {
-		for _, p := range harness.Fig16TbitScaling([]int{128}) {
-			if p.Transport == "UD" {
-				udRate = p.ChunkRate
+		for _, r := range runSweep(b, harness.Fig16Grid([]int{128}).Expand(), harness.Fig16Kernel) {
+			if r.Spec.Transport == "ud" {
+				udRate = r.Metric("chunk_rate")
 			} else {
-				ucRate = p.ChunkRate
+				ucRate = r.Metric("chunk_rate")
 			}
 		}
 	}
@@ -274,11 +277,9 @@ func BenchmarkChaosSweepWarm(b *testing.B) {
 func BenchmarkAppBSpeedup(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		pts, err := harness.AppBConcurrent([]int{16}, 1<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup = pts[0].Speedup
+		// The ring-pair record comes first, then the inc-pair record.
+		recs := runSweep(b, harness.AppBSpecs([]int{16}, 1<<20), harness.AppBKernel)
+		speedup = recs[0].Metric("span_ns") / recs[1].Metric("span_ns")
 	}
 	b.ReportMetric(speedup, "measured-x")
 	b.ReportMetric(model.SpeedupINC(16), "model-x")

@@ -30,8 +30,8 @@
 // algorithm table), model (analytic cost models), sweep (the declarative
 // parameter-grid engine behind every benchmark surface, re-exported here as
 // SweepGrid/RunSweep), scenario (deterministic fault/straggler/multi-tenant
-// perturbations, re-exported as Scenarios/NewScenario) and harness
-// (per-figure experiment drivers).
+// perturbations, re-exported as Scenarios/NewScenario) and harness (one
+// sweep grid and kernel per table and figure).
 package repro
 
 import (

@@ -163,12 +163,12 @@ func execute(m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) in
 	// The text timeline and the Perfetto export come from one traced run, so
 	// the two renderings can never describe different executions.
 	if needTrace {
-		bundle, err := plan.Trace()
+		traced, err := plan.Trace()
 		if err != nil {
 			return fail(stderr, 1, "%s: trace: %v", cmd, err)
 		}
 		if diag.trace != "" {
-			if err := os.WriteFile(diag.trace, []byte(bundle.Timeline()), 0o644); err != nil {
+			if err := os.WriteFile(diag.trace, []byte(traced.Timeline()), 0o644); err != nil {
 				return fail(stderr, 1, "%s: trace: %v", cmd, err)
 			}
 		}
@@ -177,7 +177,7 @@ func execute(m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) in
 			if err != nil {
 				return fail(stderr, 1, "%s: perfetto: %v", cmd, err)
 			}
-			if err := bundle.WritePerfetto(f); err != nil {
+			if err := traced.WritePerfetto(f); err != nil {
 				f.Close()
 				return fail(stderr, 1, "%s: perfetto: %v", cmd, err)
 			}

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -142,14 +142,15 @@ func TestRingSendBandwidthGrowsLinearly(t *testing.T) {
 }
 
 // TestFig9ExecutionFlow validates the per-rank phase sequence of Figure 9
-// through the trace recorder: dispatch -> RNR sync -> (TX|RX phases) ->
-// final handshake -> done, with recovery absent on a lossless fabric.
+// through the telemetry registry's phase events: dispatch -> RNR sync ->
+// (TX|RX phases) -> final handshake -> done, with recovery absent on a
+// lossless fabric.
 func TestFig9ExecutionFlow(t *testing.T) {
-	rec := &trace.Recorder{}
+	reg := telemetry.New(telemetry.Config{})
 	eng := sim.NewEngine(11)
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{})
-	comm, err := NewCommunicator(f, g.Hosts(), Config{Transport: verbs.UD, Tracer: rec})
+	comm, err := NewCommunicator(f, g.Hosts(), Config{Transport: verbs.UD, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,10 @@ func TestFig9ExecutionFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rk := 0; rk < 4; rk++ {
-		phases := rec.Phases(rk)
+		var phases []string
+		for _, e := range reg.RankPhases(rk) {
+			phases = append(phases, e.Phase)
+		}
 		idx := func(p string) int {
 			for i, q := range phases {
 				if q == p {
@@ -166,37 +170,37 @@ func TestFig9ExecutionFlow(t *testing.T) {
 			}
 			return -1
 		}
-		for _, p := range []string{trace.PhaseDispatch, trace.PhaseBarrier,
-			trace.PhaseTxStart, trace.PhaseTxDone, trace.PhaseRxDone,
-			trace.PhaseFinal, trace.PhaseDone} {
+		for _, p := range []string{telemetry.PhaseDispatch, telemetry.PhaseBarrier,
+			telemetry.PhaseTxStart, telemetry.PhaseTxDone, telemetry.PhaseRxDone,
+			telemetry.PhaseFinal, telemetry.PhaseDone} {
 			if idx(p) < 0 {
 				t.Fatalf("rank %d missing phase %s: %v", rk, p, phases)
 			}
 		}
-		if !(idx(trace.PhaseDispatch) < idx(trace.PhaseBarrier) &&
-			idx(trace.PhaseBarrier) < idx(trace.PhaseTxStart) &&
-			idx(trace.PhaseTxStart) < idx(trace.PhaseTxDone) &&
-			idx(trace.PhaseRxDone) < idx(trace.PhaseDone) &&
-			idx(trace.PhaseFinal) < idx(trace.PhaseDone)) {
+		if !(idx(telemetry.PhaseDispatch) < idx(telemetry.PhaseBarrier) &&
+			idx(telemetry.PhaseBarrier) < idx(telemetry.PhaseTxStart) &&
+			idx(telemetry.PhaseTxStart) < idx(telemetry.PhaseTxDone) &&
+			idx(telemetry.PhaseRxDone) < idx(telemetry.PhaseDone) &&
+			idx(telemetry.PhaseFinal) < idx(telemetry.PhaseDone)) {
 			t.Fatalf("rank %d phases out of order: %v", rk, phases)
 		}
-		if idx(trace.PhaseRecovery) >= 0 {
+		if idx(telemetry.PhaseRecovery) >= 0 {
 			t.Fatalf("rank %d entered recovery on a lossless fabric", rk)
 		}
 	}
-	if rec.Timeline() == "(no events)\n" {
+	if reg.Timeline() == "(no events)\n" {
 		t.Fatal("empty timeline")
 	}
 }
 
 // TestTraceRecordsRecovery checks the slow-path events appear under drops.
 func TestTraceRecordsRecovery(t *testing.T) {
-	rec := &trace.Recorder{}
+	reg := telemetry.New(telemetry.Config{})
 	eng := sim.NewEngine(21)
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{DropRate: 0.05})
 	comm, err := NewCommunicator(f, g.Hosts(), Config{
-		Transport: verbs.UD, Tracer: rec, VerifyData: true,
+		Transport: verbs.UD, Metrics: reg, VerifyData: true,
 		CutoffAlpha: 50 * sim.Microsecond,
 	})
 	if err != nil {
@@ -209,11 +213,11 @@ func TestTraceRecordsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	sawRecovery, sawServe := false, false
-	for _, e := range rec.Events {
-		if e.Phase == trace.PhaseRecovery {
+	for _, e := range reg.PhaseEvents() {
+		if e.Phase == telemetry.PhaseRecovery {
 			sawRecovery = true
 		}
-		if e.Phase == trace.PhaseFetchServe {
+		if e.Phase == telemetry.PhaseFetchServe {
 			sawServe = true
 		}
 	}

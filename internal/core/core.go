@@ -40,7 +40,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -84,11 +83,9 @@ type Config struct {
 	// VerifyData allocates real backing memory for all buffers so tests
 	// can check payload integrity end to end.
 	VerifyData bool
-	// Tracer, when set, records protocol phase transitions (the Figure 9
-	// execution-flow view). Nil adds no cost.
-	Tracer *trace.Recorder
-	// Metrics, when set, counts protocol phase transitions per phase name.
-	// Nil adds no cost.
+	// Metrics, when set, records protocol phase transitions (the Figure 9
+	// execution-flow view) and counts them per phase name. Nil adds no
+	// cost.
 	Metrics *telemetry.Registry
 }
 

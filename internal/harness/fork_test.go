@@ -24,7 +24,7 @@ import (
 // loop and record assembly exactly.
 func forkedResilienceRecord(t *testing.T, s sweep.Spec, prefix sim.Time) sweep.Record {
 	t.Helper()
-	pt, err := collPoint(s)
+	pt, err := collPoint(s, newRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,20 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/sweep"
 	"repro/internal/verbs"
 )
+
+// runSpecs runs specs through kernel on the worker pool, failing the test
+// on a kernel error.
+func runSpecs(t *testing.T, specs []sweep.Spec, kernel sweep.Func) []sweep.Record {
+	t.Helper()
+	recs, err := sweep.Run(specs, 0, kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
 
 func TestRxBenchUDSingleThreadMatchesModel(t *testing.T) {
 	r := RunRxBench(RxBenchConfig{Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 8 << 20})
@@ -70,49 +82,51 @@ func TestRxBenchCPUBaselineBelowLink(t *testing.T) {
 }
 
 func TestFig5DPAWinsAtLargeMessages(t *testing.T) {
-	pts := Fig5SingleCore([]int{1 << 20})
-	p := pts[0]
-	if p.DPAGbps <= p.CPUGbps {
-		t.Fatalf("DPA core (%.1f) not above CPU core (%.1f)", p.DPAGbps, p.CPUGbps)
+	// One size: the CPU record comes first, then the DPA record.
+	recs := runSpecs(t, Fig5Specs([]int{1 << 20}), RxKernel)
+	cpu, dpa, link := recs[0].Metric("gbps"), recs[1].Metric("gbps"), recs[0].Metric("link_gbps")
+	if dpa <= cpu {
+		t.Fatalf("DPA core (%.1f) not above CPU core (%.1f)", dpa, cpu)
 	}
-	if p.DPAGbps < 0.9*p.LinkGbps*4096/4160 {
-		t.Fatalf("DPA core does not reach peak: %.1f of %.1f", p.DPAGbps, p.LinkGbps)
+	if dpa < 0.9*link*4096/4160 {
+		t.Fatalf("DPA core does not reach peak: %.1f of %.1f", dpa, link)
 	}
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	rows := Table1SingleThread()
+	rows := runSpecs(t, Table1Grid().Expand(), RxKernel)
 	if len(rows) != 2 {
 		t.Fatal("want 2 rows")
 	}
 	for _, r := range rows {
-		switch r.Datapath {
-		case "UC":
-			if r.InstructionsCQE != 66 || r.CyclesCQE != 598 {
-				t.Fatalf("UC row: %+v", r)
+		instr, cycles, gibps := r.Metric("instr_cqe"), r.Metric("cycles_cqe"), r.Metric("gibps")
+		switch r.Spec.Transport {
+		case "uc":
+			if instr != 66 || cycles != 598 {
+				t.Fatalf("UC row: %v", r.Metrics)
 			}
-			if math.Abs(r.ThroughputGiBps-11.9) > 1.5 {
-				t.Fatalf("UC throughput %.1f GiB/s, paper 11.9", r.ThroughputGiBps)
+			if math.Abs(gibps-11.9) > 1.5 {
+				t.Fatalf("UC throughput %.1f GiB/s, paper 11.9", gibps)
 			}
-		case "UD":
-			if r.InstructionsCQE != 113 || r.CyclesCQE != 1084 {
-				t.Fatalf("UD row: %+v", r)
+		case "ud":
+			if instr != 113 || cycles != 1084 {
+				t.Fatalf("UD row: %v", r.Metrics)
 			}
-			if math.Abs(r.ThroughputGiBps-5.2) > 1.5 {
-				t.Fatalf("UD throughput %.1f GiB/s, paper 5.2", r.ThroughputGiBps)
+			if math.Abs(gibps-5.2) > 1.5 {
+				t.Fatalf("UD throughput %.1f GiB/s, paper 5.2", gibps)
 			}
 		}
 	}
 }
 
 func TestFig15LargerChunksNeedFewerThreads(t *testing.T) {
-	pts := Fig15ChunkSize([]int{4 << 10, 64 << 10}, []int{1})
+	recs := runSpecs(t, Fig15Grid([]int{4 << 10, 64 << 10}, []int{1}).Expand(), RxKernel)
 	var small, large float64
-	for _, p := range pts {
-		if p.ChunkBytes == 4<<10 {
-			small = p.LinkShare
+	for _, r := range recs {
+		if r.Spec.ChunkSize == 4<<10 {
+			small = r.Metric("link_share")
 		} else {
-			large = p.LinkShare
+			large = r.Metric("link_share")
 		}
 	}
 	if large <= small {
@@ -127,54 +141,44 @@ func TestFig16Reaches16TbitWithin128Threads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("128-thread Tbit/s scaling sweep (several seconds)")
 	}
-	pts := Fig16TbitScaling([]int{64, 128})
+	recs := runSpecs(t, Fig16Grid([]int{64, 128}).Expand(), Fig16Kernel)
 	reached := map[string]bool{}
-	for _, p := range pts {
-		if p.Threads == 128 && p.ChunkRate >= Tbit16Target {
-			reached[p.Transport] = true
+	for _, r := range recs {
+		if r.Spec.Threads == 128 && r.Metric("chunk_rate") >= Tbit16Target {
+			reached[r.Spec.Transport] = true
 		}
 	}
-	if !reached["UD"] || !reached["UC"] {
+	if !reached["ud"] || !reached["uc"] {
 		t.Fatalf("1.6 Tbit/s target not reached with 128 threads: %v", reached)
 	}
 }
 
 func TestFig10McastDominatesAtScale(t *testing.T) {
-	pts, err := Fig10Breakdown([]int{16}, []int{256 << 10})
-	if err != nil {
-		t.Fatal(err)
+	r := runSpecs(t, Fig10Grid([]int{16}, []int{256 << 10}).Expand(), CollKernel)[0]
+	bar, mc, fin := r.Metric("barrier_frac"), r.Metric("mcast_frac"), r.Metric("final_frac")
+	if mc < 0.90 {
+		t.Fatalf("multicast fraction %.2f at 16 nodes / 256 KiB, want > 0.90 (paper: 99%%)", mc)
 	}
-	p := pts[0]
-	if p.McastFrac < 0.90 {
-		t.Fatalf("multicast fraction %.2f at 16 nodes / 256 KiB, want > 0.90 (paper: 99%%)", p.McastFrac)
-	}
-	if p.BarrierFrac+p.McastFrac+p.FinalFrac > 1.01 {
-		t.Fatalf("fractions exceed 1: %+v", p)
+	if bar+mc+fin > 1.01 {
+		t.Fatalf("fractions exceed 1: %v", r.Metrics)
 	}
 }
 
 func TestFig10SyncMattersMoreAtSmallSizes(t *testing.T) {
 	// The paper's Figure 10 point in relative form: the synchronization
 	// share (RNR barrier + final handshake) shrinks as the message grows.
-	pts, err := Fig10Breakdown([]int{4}, []int{4096, 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := pts[0].BarrierFrac + pts[0].FinalFrac
-	large := pts[1].BarrierFrac + pts[1].FinalFrac
+	recs := runSpecs(t, Fig10Grid([]int{4}, []int{4096, 1 << 20}).Expand(), CollKernel)
+	syncFrac := func(r sweep.Record) float64 { return r.Metric("barrier_frac") + r.Metric("final_frac") }
+	small, large := syncFrac(recs[0]), syncFrac(recs[1])
 	if small < 3*large {
 		t.Fatalf("sync share at 4 KiB (%.3f) not >> share at 1 MiB (%.3f)", small, large)
 	}
 }
 
 func TestFig11ShapesAtModestScale(t *testing.T) {
-	pts, err := Fig11Throughput(16, []int{256 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
 	byAlgo := map[string]float64{}
-	for _, p := range pts {
-		byAlgo[p.Algo] = p.GiBps
+	for _, r := range runSpecs(t, Fig11Specs(16, []int{256 << 10}), CollKernel) {
+		byAlgo[r.Spec.Algorithm] = r.Metric("gibps")
 	}
 	if byAlgo["mcast-broadcast"] <= byAlgo["knomial-broadcast"] {
 		t.Fatalf("mcast bcast (%.2f) not above knomial (%.2f)",
@@ -193,18 +197,15 @@ func TestFig11ShapesAtModestScale(t *testing.T) {
 }
 
 func TestFig12SavingsShape(t *testing.T) {
-	rows, err := Fig12Traffic(32, 64<<10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := runSpecs(t, Fig12Specs(32, 64<<10), Fig12Kernel(2))
+	AnnotateSavings(recs)
 	var bcast, ag float64
-	for _, r := range rows {
-		if r.Algo == "mcast" {
-			if r.Op == "broadcast" {
-				bcast = r.Savings
-			} else {
-				ag = r.Savings
-			}
+	for _, r := range recs {
+		switch r.Spec.Algorithm {
+		case "mcast-broadcast":
+			bcast = r.Metric("savings_vs_p2p")
+		case "mcast-allgather":
+			ag = r.Metric("savings_vs_p2p")
 		}
 	}
 	if bcast < 1.3 {
@@ -216,15 +217,14 @@ func TestFig12SavingsShape(t *testing.T) {
 }
 
 func TestAppBSpeedupIncreasesWithP(t *testing.T) {
-	pts, err := AppBConcurrent([]int{2, 8}, 512<<10)
-	if err != nil {
-		t.Fatal(err)
+	// Ring-pair records come first, then inc-pair, each in P order.
+	recs := runSpecs(t, AppBSpecs([]int{2, 8}, 512<<10), AppBKernel)
+	speedup := func(i int) float64 { return recs[i].Metric("span_ns") / recs[2+i].Metric("span_ns") }
+	if speedup(1) <= speedup(0) {
+		t.Fatalf("speedup not increasing: P=2 %.2f vs P=8 %.2f", speedup(0), speedup(1))
 	}
-	if pts[1].Speedup <= pts[0].Speedup {
-		t.Fatalf("speedup not increasing: P=2 %.2f vs P=8 %.2f", pts[0].Speedup, pts[1].Speedup)
-	}
-	if pts[1].Speedup < 1.3 {
-		t.Fatalf("P=8 speedup %.2f, want > 1.3 (model: 1.75)", pts[1].Speedup)
+	if speedup(1) < 1.3 {
+		t.Fatalf("P=8 speedup %.2f, want > 1.3 (model: 1.75)", speedup(1))
 	}
 }
 

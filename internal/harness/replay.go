@@ -57,7 +57,7 @@ func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 20
 	}
-	pt, err := collPoint(s)
+	pt, err := collPoint(s, newRegistry())
 	if err != nil {
 		return err
 	}

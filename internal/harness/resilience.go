@@ -3,18 +3,12 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/cluster"
-	"repro/internal/coll"
 	"repro/internal/collective"
-	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/registry"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
-	"repro/internal/verbs"
 )
 
 // The resilience sweep measures collectives on a noisy fabric: every grid
@@ -58,7 +52,7 @@ func ResilienceKernel(s sweep.Spec) (sweep.Record, error) {
 	if _, err := scenario.New(s.Scenario); err != nil {
 		return sweep.Record{}, err
 	}
-	pt, err := collPoint(s)
+	pt, err := collPoint(s, newRegistry())
 	if err != nil {
 		return sweep.Record{}, err
 	}
@@ -140,77 +134,21 @@ func resilienceRun(pt collPt, s sweep.Spec) (sweep.Record, error) {
 	return rec, nil
 }
 
-// ChaosTrace re-runs one resilience point with a trace recorder attached to
-// the protocol state machines and an always-on telemetry registry, driving
-// the engine under the same horizon/event-budget guards as the kernel, and
-// returns the bundle. On a perturbed fabric the timeline shows the slow
-// path at work — cutoff expiry, neighbor fetches, retransmissions — and the
-// metric snapshot carries the drop/retransmit counters the scenario forced.
-func ChaosTrace(s sweep.Spec) (*telemetry.Bundle, error) {
-	sc, err := scenario.New(s.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	if s.Op == "" {
-		kind, err := opForAlgo(s.Algorithm)
-		if err != nil {
-			return nil, err
-		}
-		s.Op = string(kind)
-	}
-	_, f := testbedFabric(s.Seed, 0)
-	hosts := f.Graph().Hosts()
-	if s.Nodes < 1 || s.Nodes > len(hosts) {
-		return nil, fmt.Errorf("harness: %d nodes exceed testbed (%d)", s.Nodes, len(hosts))
-	}
-	tr := &trace.Recorder{}
+// ChaosTrace is CollTrace for a resilience point: collPoint plus the
+// kernel's own continuation (resilienceRun), so the timeline shows the slow
+// path at work under the point's scenario — cutoff expiry, neighbor
+// fetches, retransmissions — and the registry carries the drop and
+// retransmit counters the scenario forced.
+func ChaosTrace(s sweep.Spec) (*telemetry.Registry, error) {
 	reg := traceRegistry()
-	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-	alg, err := registry.New(cl, s.Algorithm, registry.Options{
-		Hosts: hosts[:s.Nodes],
-		Core:  core.Config{Transport: verbs.UD, Tracer: tr, Metrics: reg},
-		Coll:  coll.Config{ChunkBytes: s.ChunkSize, Metrics: reg},
-	})
+	pt, err := collPoint(s, reg)
 	if err != nil {
 		return nil, err
 	}
-	armFabricTelemetry(reg, f)
-	starter, ok := alg.(collective.Starter)
-	if !ok {
-		return nil, fmt.Errorf("harness: %s cannot run non-blocking under a scenario", s.Algorithm)
-	}
-	eng := f.Engine()
-	act := sc.InstallOn(f, hosts[:s.Nodes], s.Seed)
-	var res *collective.Result
-	err = starter.Start(collective.Op{Kind: collective.Kind(s.Op), Bytes: s.MsgBytes},
-		func(r *collective.Result) {
-			res = r
-			act.Stop()
-		})
-	if err != nil {
+	if _, err := resilienceRun(pt, pt.spec); err != nil {
 		return nil, err
 	}
-	for res == nil && eng.Now() < resilienceHorizon && eng.Executed < resilienceEventBudget {
-		eng.RunFor(sim.Millisecond)
-	}
-	if res == nil {
-		act.Stop()
-		for id := 0; id < f.NumChannels(); id++ {
-			f.ClearOverrides(fabric.ChannelID(id))
-		}
-		for end := eng.Now() + resilienceHorizon/4; res == nil && eng.Now() < end &&
-			eng.Executed < 2*resilienceEventBudget; {
-			eng.RunFor(sim.Millisecond)
-		}
-	}
-	if res == nil {
-		return nil, fmt.Errorf("harness: %s did not complete under scenario %q within %v / %d events",
-			s.Algorithm, s.Scenario, resilienceHorizon, resilienceEventBudget)
-	}
-	collectEngineTelemetry(reg, eng)
-	f.CollectTelemetry(reg)
-	cl.CollectTelemetry(reg)
-	return &telemetry.Bundle{Events: tr.Events, Snap: reg.Snapshot()}, nil
+	return reg, nil
 }
 
 // AnnotateSlowdown adds the slowdown_vs_quiet metric to every record that

@@ -7,9 +7,10 @@
 //
 // Every experiment is declared as a sweep (sweeps.go): a parameter grid
 // plus a kernel executed by internal/sweep's worker pool, producing
-// structured Records with deterministic per-point seeds. The typed
-// per-figure views (experiments.go) and the cmd/ binaries are thin
-// projections of those Records.
+// structured Records with deterministic per-point seeds. The kernel is each
+// experiment's only driver: manifests, tests and benchmarks run it and read
+// the Records, and the warm-start and traced runs reuse its point builder
+// and continuation.
 package harness
 
 import (

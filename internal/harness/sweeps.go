@@ -15,16 +15,18 @@ import (
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 	"repro/internal/workload"
 )
 
 // This file declares every experiment as a sweep: a Grid (or composed spec
 // list) naming the axes the paper varies, plus the kernel that executes one
-// grid point. The typed per-figure views in experiments.go are thin
-// projections of the Records these sweeps produce; the cmd binaries consume
-// the Records directly (tables, -json).
+// grid point. A compiled manifest runs the grids through their kernels on
+// the sweep worker pool; tests and benchmarks do the same and read the
+// Records' metrics. The kernels that build a model stack split into a point
+// builder and a continuation, which the warm-start forks (warm.go) and the
+// traced runs behind `repro run -trace` reuse, so every experiment has one
+// driver.
 
 // --- receive-datapath kernel -----------------------------------------------------
 
@@ -105,41 +107,51 @@ func RxKernel(s sweep.Spec) (sweep.Record, error) {
 
 // --- collective kernel -----------------------------------------------------------
 
-// opForAlgo derives the operation kind from a registry algorithm name.
-func opForAlgo(algo string) (collective.Kind, error) {
-	return collective.KindOfAlgorithm(algo)
-}
+// testbedLink is the paper testbed's 56 Gbit/s ConnectX-3 link bandwidth
+// in bytes per second.
+const testbedLink = 7e9
 
-// collPoint resolves one collective grid point on the testbed model: the
-// operation kind (derived from the algorithm name when the Op axis is
-// unused), a fresh fabric, and the point's algorithm over the first Nodes
-// hosts. Shared by CollKernel and ResilienceKernel so the quiet-scenario
-// anchor of slowdown_vs_quiet cannot drift from the plain collective
-// kernel.
-func collPoint(s sweep.Spec) (collPt, error) {
-	pt := collPt{spec: s}
+// withOp fills an unused Op axis from the algorithm name.
+func withOp(s sweep.Spec) (sweep.Spec, error) {
 	if s.Op == "" {
-		kind, err := opForAlgo(s.Algorithm)
+		kind, err := collective.KindOfAlgorithm(s.Algorithm)
 		if err != nil {
-			return pt, err
+			return s, err
 		}
 		s.Op = string(kind)
-		pt.spec = s
 	}
-	_, f := testbedFabric(s.Seed, 0)
-	hosts := f.Graph().Hosts()
-	if s.Nodes < 1 || s.Nodes > len(hosts) {
-		return pt, fmt.Errorf("harness: %d nodes exceed testbed (%d)", s.Nodes, len(hosts))
+	return s, nil
+}
+
+// collPoint resolves one collective grid point on the testbed model with
+// the paper's links. Shared by CollKernel, Fig12Kernel and ResilienceKernel
+// so the quiet-scenario anchor of slowdown_vs_quiet cannot drift from the
+// plain collective kernel.
+func collPoint(s sweep.Spec, reg *telemetry.Registry) (collPt, error) {
+	return testbedPoint(s, fabric.Config{LinkBandwidth: testbedLink}, reg)
+}
+
+// testbedPoint builds one collective point's model stack on the 188-node
+// testbed: the operation kind (derived from the algorithm name when the Op
+// axis is unused), a fresh fabric, and the point's algorithm over the
+// first Nodes hosts, all reporting into reg (nil when telemetry is off).
+func testbedPoint(s sweep.Spec, fcfg fabric.Config, reg *telemetry.Registry) (collPt, error) {
+	s, err := withOp(s)
+	if err != nil {
+		return collPt{spec: s}, err
 	}
-	reg := newRegistry()
+	g := topology.Testbed188()
+	if s.Nodes < 1 || s.Nodes > len(g.Hosts()) {
+		return collPt{spec: s}, fmt.Errorf("harness: %d nodes exceed testbed (%d)", s.Nodes, len(g.Hosts()))
+	}
+	f := fabric.New(sim.NewEngine(s.Seed), g, fcfg)
 	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
 	alg, err := registry.New(cl, s.Algorithm, registry.Options{
-		Hosts: hosts[:s.Nodes],
+		Hosts: g.Hosts()[:s.Nodes],
 		Core:  core.Config{Transport: verbs.UD, Metrics: reg},
 		Coll:  coll.Config{ChunkBytes: s.ChunkSize, Metrics: reg},
 	})
-	pt.f, pt.cl, pt.alg, pt.reg = f, cl, alg, reg
-	pt.sampler = armFabricTelemetry(reg, f)
+	pt := collPt{spec: s, f: f, cl: cl, alg: alg, reg: reg, sampler: armFabricTelemetry(reg, f)}
 	return pt, err
 }
 
@@ -165,11 +177,17 @@ func (pt *collPt) finish(rec *sweep.Record) {
 // (with the per-rank critical-path extension where the protocol provides
 // it). The optional ChunkSize axis tunes the P2P baselines.
 func CollKernel(s sweep.Spec) (sweep.Record, error) {
-	pt, err := collPoint(s)
+	pt, err := collPoint(s, newRegistry())
 	if err != nil {
 		return sweep.Record{}, err
 	}
-	s = pt.spec
+	return collRun(pt)
+}
+
+// collRun is the collective kernel's continuation: one operation on the
+// built stack.
+func collRun(pt collPt) (sweep.Record, error) {
+	s := pt.spec
 	res, err := pt.alg.Run(collective.Op{Kind: collective.Kind(s.Op), Bytes: s.MsgBytes})
 	if err != nil {
 		return sweep.Record{}, err
@@ -200,6 +218,26 @@ func CollKernel(s sweep.Spec) (sweep.Record, error) {
 	return rec, nil
 }
 
+// CollTrace runs one collective point — collPoint plus collRun — with an
+// always-on registry, for `repro run -trace`/`-perfetto`. The registry
+// holds the Figure-9 phase events (task dispatch, RNR barrier, multicast
+// start / finish per rank, recovery actions, final handshake) and the
+// run's metrics; it renders as the text timeline or a Perfetto document.
+// The traced run is separate from the sweep records, so it never perturbs
+// their byte-identity. P2P baselines record no phases and render
+// "(no events)"; their telemetry still populates the registry.
+func CollTrace(s sweep.Spec) (*telemetry.Registry, error) {
+	reg := traceRegistry()
+	pt, err := collPoint(s, reg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := collRun(pt); err != nil {
+		return nil, err
+	}
+	return reg, nil
+}
+
 // --- per-figure grids ------------------------------------------------------------
 
 // Fig5Specs pairs one host-CPU thread against one DPA core (16 threads) on
@@ -212,21 +250,11 @@ func Fig5Specs(sizes []int) []sweep.Spec {
 	return sweep.Concat(cpu.Expand(), dpa.Expand())
 }
 
-// Fig5Records runs the Figure 5 sweep.
-func Fig5Records(sizes []int) ([]sweep.Record, error) {
-	return sweep.Run(Fig5Specs(sizes), 0, RxKernel)
-}
-
 // Table1Grid measures both single-thread DPA datapaths (8 MiB buffer,
 // 4 KiB chunks).
 func Table1Grid() sweep.Grid {
 	return sweep.Grid{Transports: []string{"uc", "ud"}, Threads: []int{1},
 		ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 1}
-}
-
-// Table1Records runs the Table I sweep.
-func Table1Records() ([]sweep.Record, error) {
-	return sweep.RunGrid(Table1Grid(), 0, RxKernel)
 }
 
 // Fig13Specs sweeps DPA worker threads for the UD and UC datapaths (8 MiB
@@ -240,12 +268,6 @@ func Fig13Specs(threadCounts []int) []sweep.Spec {
 	return sweep.Concat(dpa.Expand(), cpu.Expand())
 }
 
-// Fig13Records runs the thread-scaling sweep; the last record is the CPU
-// baseline.
-func Fig13Records(threadCounts []int) ([]sweep.Record, error) {
-	return sweep.Run(Fig13Specs(threadCounts), 0, RxKernel)
-}
-
 // Fig15Grid sweeps the UC chunk size across thread counts (8 MiB buffer):
 // larger multi-packet chunks mean fewer CQEs, so fewer threads reach line
 // rate.
@@ -254,10 +276,9 @@ func Fig15Grid(chunkSizes, threadCounts []int) sweep.Grid {
 		ChunkSizes: chunkSizes, MsgBytes: []int{8 << 20}, Seed: 15}
 }
 
-// Fig15Records runs the chunk-size sweep.
-func Fig15Records(chunkSizes, threadCounts []int) ([]sweep.Record, error) {
-	return sweep.RunGrid(Fig15Grid(chunkSizes, threadCounts), 0, RxKernel)
-}
+// Tbit16Target is the chunk processing rate equivalent to a 1.6 Tbit/s
+// link with 4 KiB MTU packets: the horizontal target line of Figure 16.
+const Tbit16Target = 1.6e12 / 8 / 4096 // chunks/second
 
 // Fig16Grid sweeps thread counts with 64-byte chunks, matching the arrival
 // rate of a future 1.6 Tbit/s link (§VII). MsgBytes is derived per point
@@ -280,21 +301,11 @@ func Fig16Kernel(s sweep.Spec) (sweep.Record, error) {
 	return rec, nil
 }
 
-// Fig16Records runs the Tbit-scaling sweep.
-func Fig16Records(threadCounts []int) ([]sweep.Record, error) {
-	return sweep.RunGrid(Fig16Grid(threadCounts), 0, Fig16Kernel)
-}
-
 // Fig10Grid runs the multicast Allgather at several scales and message
 // sizes; the kernel reports the median per-rank phase fractions.
 func Fig10Grid(nodeCounts, sizes []int) sweep.Grid {
 	return sweep.Grid{Algorithms: []string{"mcast-allgather"},
 		Nodes: nodeCounts, MsgBytes: sizes, Seed: 10}
-}
-
-// Fig10Records runs the critical-path-breakdown sweep.
-func Fig10Records(nodeCounts, sizes []int) ([]sweep.Record, error) {
-	return sweep.RunGrid(Fig10Grid(nodeCounts, sizes), 0, CollKernel)
 }
 
 // Fig11Specs measures the multicast collectives against their P2P
@@ -312,11 +323,6 @@ func Fig11Specs(nodes int, sizes []int) []sweep.Spec {
 	return sweep.Concat(plain.Expand(), chain.Expand())
 }
 
-// Fig11Records runs the at-scale throughput sweep.
-func Fig11Records(nodes int, sizes []int) ([]sweep.Record, error) {
-	return sweep.Run(Fig11Specs(nodes, sizes), 0, CollKernel)
-}
-
 // Fig12Specs names the four algorithm cells of the switch-traffic study.
 func Fig12Specs(nodes, msgBytes int) []sweep.Spec {
 	return sweep.Grid{
@@ -331,40 +337,30 @@ func Fig12Specs(nodes, msgBytes int) []sweep.Spec {
 // same warm instance (the paper's counter methodology).
 func Fig12Kernel(iters int) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
-		kind, err := opForAlgo(s.Algorithm)
+		pt, err := collPoint(s, newRegistry())
 		if err != nil {
 			return sweep.Record{}, err
 		}
-		s.Op = string(kind)
-		_, f := testbedFabric(s.Seed, 0)
-		reg := newRegistry()
-		cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-		alg, err := registry.New(cl, s.Algorithm, registry.Options{
-			Hosts: f.Graph().Hosts()[:s.Nodes],
-			Core:  core.Config{Transport: verbs.UD, Metrics: reg},
-		})
-		if err != nil {
-			return sweep.Record{}, err
-		}
-		op := collective.Op{Kind: kind, Bytes: s.MsgBytes}
-		if _, err := alg.Run(op); err != nil {
+		s = pt.spec
+		op := collective.Op{Kind: collective.Kind(s.Op), Bytes: s.MsgBytes}
+		if _, err := pt.alg.Run(op); err != nil {
 			return sweep.Record{}, fmt.Errorf("warmup: %w", err)
 		}
 		// Counters (including per-channel telemetry stats) reset after
 		// warmup, matching the paper's methodology: the exported fabric
-		// metrics cover only the measured iterations.
-		f.ResetCounters()
-		sampler := armFabricTelemetry(reg, f)
+		// counters cover only the measured iterations. (The backlog gauge
+		// is armed with the stack, so its samples include the warmup.)
+		pt.f.ResetCounters()
 		for i := 0; i < iters; i++ {
-			sampler.Arm()
-			if _, err := alg.Run(op); err != nil {
+			pt.sampler.Arm()
+			if _, err := pt.alg.Run(op); err != nil {
 				return sweep.Record{}, fmt.Errorf("iter %d: %w", i, err)
 			}
 		}
 		rec := sweep.Record{Spec: s, Metrics: map[string]float64{
-			"switch_bytes": float64(f.SwitchPortBytes()),
+			"switch_bytes": float64(pt.f.SwitchPortBytes()),
 		}}
-		finishTelemetry(&rec, reg, f.Engine(), f, cl)
+		pt.finish(&rec)
 		return rec, nil
 	}
 }
@@ -388,17 +384,6 @@ func AnnotateSavings(recs []sweep.Record) {
 			recs[i].Metrics["savings_vs_p2p"] = 1
 		}
 	}
-}
-
-// Fig12Records runs the four cells on workers goroutines (0 = GOMAXPROCS)
-// and annotates the cross-cell savings metric.
-func Fig12Records(nodes, msgBytes, iters, workers int) ([]sweep.Record, error) {
-	recs, err := sweep.Run(Fig12Specs(nodes, msgBytes), workers, Fig12Kernel(iters))
-	if err != nil {
-		return nil, err
-	}
-	AnnotateSavings(recs)
-	return recs, nil
 }
 
 // AppBSpecs names the two concurrent-{Allgather, Reduce-Scatter}
@@ -458,7 +443,7 @@ func AppBKernel(s sweep.Spec) (sweep.Record, error) {
 			rsR = span.Result
 		}
 	}
-	span := maxTime(agR.End, rsR.End) - minTime(agR.Start, rsR.Start)
+	span := max(agR.End, rsR.End) - min(agR.Start, rsR.Start)
 	rec := sweep.Record{Spec: s, Metrics: map[string]float64{
 		"span_ns":       float64(span),
 		"model_speedup": model.SpeedupINC(s.Nodes),
@@ -466,59 +451,6 @@ func AppBKernel(s sweep.Spec) (sweep.Record, error) {
 	rep.ExportTelemetry(reg)
 	finishTelemetry(&rec, reg, eng, f, cl)
 	return rec, nil
-}
-
-// AppBRecords runs both configurations at every scale; ring-pair records
-// come first, then inc-pair, each in ps order.
-func AppBRecords(ps []int, n int) ([]sweep.Record, error) {
-	return sweep.Run(AppBSpecs(ps, n), 0, AppBKernel)
-}
-
-// CollTrace runs one collective point of the OSU sweep with a trace
-// recorder attached to the protocol state machines and an always-on
-// telemetry registry, and returns the bundle: the Figure-9 phase events
-// (task dispatch, RNR barrier, multicast start / finish per rank, recovery
-// actions, final handshake) plus the run's metric snapshot. The bundle
-// renders as the legacy text timeline (-trace) or as a Perfetto JSON
-// document (-perfetto). The traced run is separate from the sweep records,
-// so attaching it never perturbs their byte-identity; P2P baselines have no
-// tracer and yield "(no events)" — their telemetry still populates the
-// bundle.
-func CollTrace(s sweep.Spec, linkGbps float64) (*telemetry.Bundle, error) {
-	rec := &trace.Recorder{}
-	if s.Op == "" {
-		kind, err := opForAlgo(s.Algorithm)
-		if err != nil {
-			return nil, err
-		}
-		s.Op = string(kind)
-	}
-	linkBw := linkGbps * 1e9 / 8
-	g := topology.Testbed188()
-	if s.Nodes < 1 || s.Nodes > len(g.Hosts()) {
-		return nil, fmt.Errorf("harness: nodes must be in [1,%d]", len(g.Hosts()))
-	}
-	fcfg := fabric.Config{LinkBandwidth: linkBw}
-	eng := sim.NewEngine(s.Seed)
-	f := fabric.New(eng, g, fcfg)
-	reg := traceRegistry()
-	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-	alg, err := registry.New(cl, s.Algorithm, registry.Options{
-		Hosts: g.Hosts()[:s.Nodes],
-		Core:  core.Config{Tracer: rec, Metrics: reg},
-		Coll:  coll.Config{Metrics: reg},
-	})
-	if err != nil {
-		return nil, err
-	}
-	armFabricTelemetry(reg, f)
-	if _, err := alg.Run(collective.Op{Kind: collective.Kind(s.Op), Bytes: s.MsgBytes}); err != nil {
-		return nil, err
-	}
-	collectEngineTelemetry(reg, eng)
-	f.CollectTelemetry(reg)
-	cl.CollectTelemetry(reg)
-	return &telemetry.Bundle{Events: rec.Events, Snap: reg.Snapshot()}, nil
 }
 
 // --- OSU-style kernel ------------------------------------------------------------
@@ -540,43 +472,18 @@ type OSUConfig struct {
 // size is deliberately NOT consumed here (it parameterizes the operation,
 // not the stack), which is what lets the warm-start path share one built
 // stack across a whole size sweep.
-func osuPoint(cfg OSUConfig, s sweep.Spec) (collPt, error) {
-	pt := collPt{spec: s}
+func osuPoint(cfg OSUConfig, s sweep.Spec, reg *telemetry.Registry) (collPt, error) {
 	if cfg.Iters <= 0 {
-		return pt, fmt.Errorf("harness: iters must be positive")
-	}
-	if s.Op == "" {
-		kind, err := opForAlgo(s.Algorithm)
-		if err != nil {
-			return pt, err
-		}
-		s.Op = string(kind)
-		pt.spec = s
-	}
-	g := topology.Testbed188()
-	if s.Nodes < 1 || s.Nodes > len(g.Hosts()) {
-		return pt, fmt.Errorf("harness: nodes must be in [1,%d]", len(g.Hosts()))
+		return collPt{spec: s}, fmt.Errorf("harness: iters must be positive")
 	}
 	linkBw := cfg.LinkGbps * 1e9 / 8
 	if linkBw == 0 {
-		linkBw = 7e9
+		linkBw = testbedLink
 	}
-	fcfg := fabric.Config{
+	return testbedPoint(s, fabric.Config{
 		LinkBandwidth: linkBw,
 		ReorderJitter: sim.Time(cfg.JitterUS) * sim.Microsecond,
-	}
-	eng := sim.NewEngine(s.Seed)
-	f := fabric.New(eng, g, fcfg)
-	reg := newRegistry()
-	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-	alg, err := registry.New(cl, s.Algorithm, registry.Options{
-		Hosts: g.Hosts()[:s.Nodes],
-		Core:  core.Config{Metrics: reg},
-		Coll:  coll.Config{Metrics: reg},
-	})
-	pt.f, pt.cl, pt.alg, pt.reg = f, cl, alg, reg
-	pt.sampler = armFabricTelemetry(reg, f)
-	return pt, err
+	}, reg)
 }
 
 // osuRun is the kernel's continuation: the warm-up/measure loop over an
@@ -627,10 +534,24 @@ func osuRun(cfg OSUConfig, pt collPt, s sweep.Spec) (sweep.Record, error) {
 // the last iteration's unified Result plus the latency distribution.
 func OSUKernel(cfg OSUConfig) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
-		pt, err := osuPoint(cfg, s)
+		pt, err := osuPoint(cfg, s, newRegistry())
 		if err != nil {
 			return sweep.Record{}, err
 		}
 		return osuRun(cfg, pt, pt.spec)
 	}
+}
+
+// OSUTrace is CollTrace for an OSU point: osuPoint (the sweep's link speed
+// and delivery jitter) plus one collRun operation.
+func OSUTrace(cfg OSUConfig, s sweep.Spec) (*telemetry.Registry, error) {
+	reg := traceRegistry()
+	pt, err := osuPoint(cfg, s, reg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := collRun(pt); err != nil {
+		return nil, err
+	}
+	return reg, nil
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 	"repro/internal/workload"
 )
@@ -47,33 +46,26 @@ func TrainGrid(workloads []string, nodes, shardBytes []int, scenarios []string, 
 
 // trainPoint builds the point's fabric and workload: a star topology sized
 // by the workload's host demand (full-bandwidth, as the FSDP scenario of
-// Appendix B assumes).
-func trainPoint(s sweep.Spec, cfg TrainConfig, tr *trace.Recorder, reg *telemetry.Registry) (*cluster.Cluster, workload.Workload, *telemetry.Sampler, error) {
+// Appendix B assumes), reporting into reg (nil when telemetry is off).
+func trainPoint(s sweep.Spec, cfg TrainConfig, reg *telemetry.Registry) (trainPt, error) {
 	w, err := workload.New(s.Workload, workload.Config{
 		Nodes:      s.Nodes,
 		Layers:     cfg.Layers,
 		ShardBytes: s.MsgBytes,
 		Compute:    cfg.Compute,
 		Jobs:       cfg.Jobs,
-		Tracer:     tr,
 		Metrics:    reg,
 	})
 	if err != nil {
-		return nil, workload.Workload{}, nil, err
+		return trainPt{}, err
 	}
-	hosts := w.MinHosts()
-	if hosts < s.Nodes {
-		hosts = s.Nodes
-	}
+	hosts := max(w.MinHosts(), s.Nodes)
 	if hosts < 2 {
-		return nil, workload.Workload{}, nil, fmt.Errorf("harness: workload %q needs at least 2 hosts", s.Workload)
+		return trainPt{}, fmt.Errorf("harness: workload %q needs at least 2 hosts", s.Workload)
 	}
-	g := topology.Star(hosts)
-	eng := sim.NewEngine(s.Seed)
-	f := fabric.New(eng, g, fabric.Config{})
+	f := fabric.New(sim.NewEngine(s.Seed), topology.Star(hosts), fabric.Config{})
 	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-	sampler := armFabricTelemetry(reg, f)
-	return cl, w, sampler, nil
+	return trainPt{cl: cl, w: w, reg: reg, sampler: armFabricTelemetry(reg, f)}, nil
 }
 
 // trainPt is one built training point: the model stack plus the workload
@@ -93,12 +85,11 @@ type trainPt struct {
 // (workload, overlap_frac) alongside the metrics.
 func TrainKernel(cfg TrainConfig) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
-		reg := newRegistry()
-		cl, w, sampler, err := trainPoint(s, cfg, nil, reg)
+		pt, err := trainPoint(s, cfg, newRegistry())
 		if err != nil {
 			return sweep.Record{}, err
 		}
-		return trainRun(trainPt{cl: cl, w: w, reg: reg, sampler: sampler}, s)
+		return trainRun(pt, s)
 	}
 }
 
@@ -201,28 +192,21 @@ func TrainRecords(g sweep.Grid, workers int, cfg TrainConfig) ([]sweep.Record, e
 	return recs, nil
 }
 
-// TrainTrace re-runs one workload point with a trace recorder attached to
-// its multicast communicators and an always-on telemetry registry, and
-// returns the bundle: protocol phase events plus per-job workload spans and
-// the metric snapshot. The traced run is separate from the sweep records,
-// so attaching it never perturbs their byte-identity. P2P-only workloads
-// produce an empty timeline (the baselines have no protocol tracer) but
-// still carry workload spans and fabric metrics in the bundle.
-func TrainTrace(s sweep.Spec, cfg TrainConfig) (*telemetry.Bundle, error) {
-	rec := &trace.Recorder{}
+// TrainTrace runs one workload point — trainPoint plus the kernel's own
+// continuation (trainRun) — with an always-on registry, for `repro run
+// -trace`/`-perfetto`: protocol phase events of the multicast comms plus
+// per-job workload spans and the metrics. The traced run is separate from
+// the sweep records, so it never perturbs their byte-identity. P2P-only
+// workloads record no phases but still carry workload spans and fabric
+// metrics.
+func TrainTrace(s sweep.Spec, cfg TrainConfig) (*telemetry.Registry, error) {
 	reg := traceRegistry()
-	cl, w, _, err := trainPoint(s, cfg, rec, reg)
+	pt, err := trainPoint(s, cfg, reg)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := workload.Run(cl, w)
-	if err != nil {
+	if _, err := trainRun(pt, s); err != nil {
 		return nil, err
 	}
-	f := cl.Fabric()
-	rep.ExportTelemetry(reg)
-	collectEngineTelemetry(reg, f.Engine())
-	f.CollectTelemetry(reg)
-	cl.CollectTelemetry(reg)
-	return &telemetry.Bundle{Events: rec.Events, Snap: reg.Snapshot()}, nil
+	return reg, nil
 }

@@ -101,38 +101,38 @@ func TestTrainScenarioSlowdown(t *testing.T) {
 // sweep.
 func TestTrainTraceTimeline(t *testing.T) {
 	spec := TrainGrid([]string{"fsdp-inc"}, []int{4}, []int{16 << 10}, nil, 3).Expand()[0]
-	bundle, err := TrainTrace(spec, TrainConfig{Layers: 1})
+	reg, err := TrainTrace(spec, TrainConfig{Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	timeline := bundle.Timeline()
+	timeline := reg.Timeline()
 	for _, phase := range []string{"dispatch", "barrier", "done"} {
 		if !strings.Contains(timeline, phase) {
 			t.Fatalf("timeline missing %q:\n%.400s", phase, timeline)
 		}
 	}
-	if bundle.Snap == nil || len(bundle.Snap.Spans) == 0 {
-		t.Fatal("traced bundle carries no workload spans")
+	if len(reg.Snapshot().Spans) == 0 {
+		t.Fatal("traced registry carries no workload spans")
 	}
 }
 
-// TestCollTraceTimeline checks the OSU-side trace helper for both a traced
+// TestCollTraceTimeline checks the collective trace helper for both a traced
 // multicast run and the (no events) P2P fallback.
 func TestCollTraceTimeline(t *testing.T) {
 	s := sweep.Spec{Algorithm: "mcast-allgather", Nodes: 4, MsgBytes: 16 << 10, Seed: 5}
-	bundle, err := CollTrace(s, 56)
+	reg, err := CollTrace(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if timeline := bundle.Timeline(); !strings.Contains(timeline, "dispatch") {
+	if timeline := reg.Timeline(); !strings.Contains(timeline, "dispatch") {
 		t.Fatalf("mcast timeline missing dispatch:\n%.200s", timeline)
 	}
 	s.Algorithm = "ring-allgather"
-	bundle, err = CollTrace(s, 56)
+	reg, err = CollTrace(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if timeline := bundle.Timeline(); !strings.Contains(timeline, "no events") {
+	if timeline := reg.Timeline(); !strings.Contains(timeline, "no events") {
 		t.Fatalf("ring timeline = %q, want (no events)", timeline)
 	}
 }

@@ -98,7 +98,7 @@ func (WarmResilience) WarmKey(s sweep.Spec) string {
 }
 
 func (WarmResilience) Build(s sweep.Spec) (sweep.Instance, error) {
-	pt, err := collPoint(s)
+	pt, err := collPoint(s, newRegistry())
 	if err != nil {
 		return nil, err
 	}
@@ -117,12 +117,9 @@ func (w *warmChaosInst) Run(s sweep.Spec) (sweep.Record, error) {
 	if _, err := scenario.New(s.Scenario); err != nil {
 		return sweep.Record{}, err
 	}
-	if s.Op == "" {
-		kind, err := opForAlgo(s.Algorithm)
-		if err != nil {
-			return sweep.Record{}, err
-		}
-		s.Op = string(kind)
+	s, err := withOp(s)
+	if err != nil {
+		return sweep.Record{}, err
 	}
 	w.fork.fork(s.Seed)
 	return resilienceRun(w.pt, s)
@@ -158,7 +155,7 @@ func (k warmOSU) WarmKey(s sweep.Spec) string {
 }
 
 func (k warmOSU) Build(s sweep.Spec) (sweep.Instance, error) {
-	pt, err := osuPoint(k.cfg, s)
+	pt, err := osuPoint(k.cfg, s, newRegistry())
 	if err != nil {
 		return nil, err
 	}
@@ -175,12 +172,9 @@ type warmOSUInst struct {
 }
 
 func (w *warmOSUInst) Run(s sweep.Spec) (sweep.Record, error) {
-	if s.Op == "" {
-		kind, err := opForAlgo(s.Algorithm)
-		if err != nil {
-			return sweep.Record{}, err
-		}
-		s.Op = string(kind)
+	s, err := withOp(s)
+	if err != nil {
+		return sweep.Record{}, err
 	}
 	w.fork.fork(s.Seed)
 	return osuRun(w.cfg, w.pt, s)
@@ -202,13 +196,12 @@ func (k warmTrain) WarmKey(s sweep.Spec) string {
 }
 
 func (k warmTrain) Build(s sweep.Spec) (sweep.Instance, error) {
-	reg := newRegistry()
-	cl, w, sampler, err := trainPoint(s, k.cfg, nil, reg)
+	pt, err := trainPoint(s, k.cfg, newRegistry())
 	if err != nil {
 		return nil, err
 	}
-	inst := &warmTrainInst{pt: trainPt{cl: cl, w: w, reg: reg, sampler: sampler}}
-	inst.fork = captureFork(cl.Fabric().Engine(), cl, &inst.pt.w, reg, sampler)
+	inst := &warmTrainInst{pt: pt}
+	inst.fork = captureFork(pt.cl.Fabric().Engine(), pt.cl, &inst.pt.w, pt.reg, pt.sampler)
 	return inst, nil
 }
 

@@ -26,13 +26,13 @@ type Plan struct {
 	// Sections are executed in order; their records concatenate into the
 	// report.
 	Sections []Section
-	// Trace re-runs one representative point with a protocol tracer and an
-	// always-on telemetry registry attached, and returns the bundle — the
-	// Figure-9 phase events plus the traced run's metric snapshot, which
-	// renders as a text timeline or a Perfetto JSON document. Nil when the
-	// kind has no traceable point. The traced run is separate from the
-	// sweep, so records stay byte-identical.
-	Trace func() (*telemetry.Bundle, error)
+	// Trace re-runs one representative point through its kernel's own
+	// point builder and continuation with an always-on telemetry registry,
+	// and returns the registry — the Figure-9 phase events plus the traced
+	// run's metrics, which render as a text timeline or a Perfetto JSON
+	// document. Nil when the kind has no traceable point. The traced run is
+	// separate from the sweep, so records stay byte-identical.
+	Trace func() (*telemetry.Registry, error)
 	// ReplaySpec names the point `repro replay` seeks and steps through: a
 	// quiet collective cell of the plan (the replay debugger rewinds model
 	// state, which scenario injectors' closures opt out of). Nil when the
@@ -204,9 +204,9 @@ func (p *Plan) compileOSU() error {
 		p.Sections[0].Warm = harness.WarmOSU(cfg)
 	}
 	specs := p.Sections[0].Specs
-	p.Trace = func() (*telemetry.Bundle, error) {
+	p.Trace = func() (*telemetry.Registry, error) {
 		// The last (largest) size point is the representative run.
-		return harness.CollTrace(specs[len(specs)-1], cfg.LinkGbps)
+		return harness.OSUTrace(cfg, specs[len(specs)-1])
 	}
 	p.ReplaySpec = &specs[len(specs)-1]
 	return nil
@@ -226,7 +226,7 @@ func (p *Plan) compileChaos() error {
 		p.Sections[0].Warm = harness.WarmResilience{}
 	}
 	specs := p.Sections[0].Specs
-	p.Trace = func() (*telemetry.Bundle, error) {
+	p.Trace = func() (*telemetry.Registry, error) {
 		// The last point is the representative run: grids expand scenarios
 		// last, so it carries a real perturbation (not the quiet anchor)
 		// whenever the manifest names one.
@@ -271,7 +271,7 @@ func (p *Plan) compileTrain() error {
 		p.Sections[0].Warm = harness.WarmTrain(cfg)
 	}
 	specs := p.Sections[0].Specs
-	p.Trace = func() (*telemetry.Bundle, error) {
+	p.Trace = func() (*telemetry.Registry, error) {
 		return harness.TrainTrace(specs[0], cfg)
 	}
 	return nil
@@ -290,9 +290,9 @@ func (p *Plan) compileTraffic() error {
 		harness.Fig12Specs(m.Grid.Nodes[0], m.Grid.Sizes[0]), harness.Fig12Kernel(iters))
 	p.Sections[0].Post = harness.AnnotateSavings
 	specs := p.Sections[0].Specs
-	p.Trace = func() (*telemetry.Bundle, error) {
+	p.Trace = func() (*telemetry.Registry, error) {
 		// The first cell is mcast-broadcast — the protocol under study.
-		return harness.CollTrace(specs[0], 56)
+		return harness.CollTrace(specs[0])
 	}
 	p.ReplaySpec = &specs[0]
 	return nil
@@ -396,8 +396,8 @@ func (p *Plan) compileAG() error {
 		// The first figure-11 point is mcast-broadcast at the smallest size.
 		traced = specs[0]
 	}
-	p.Trace = func() (*telemetry.Bundle, error) {
-		return harness.CollTrace(traced, 56)
+	p.Trace = func() (*telemetry.Registry, error) {
+		return harness.CollTrace(traced)
 	}
 	p.ReplaySpec = &traced
 	return nil

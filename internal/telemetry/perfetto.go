@@ -8,25 +8,7 @@ import (
 	"strconv"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
-
-// Bundle is everything one traced representative run produced: the
-// protocol phase events from internal/trace plus the run's metric
-// snapshot. It renders either as the legacy text timeline (-trace) or as a
-// Chrome-trace-event/Perfetto JSON document (-perfetto), so one traced run
-// feeds both surfaces.
-type Bundle struct {
-	Events []trace.Event
-	Snap   *Snapshot
-}
-
-// Timeline renders the protocol events as the Figure-9 text timeline,
-// byte-identical to the historical -trace output.
-func (b *Bundle) Timeline() string {
-	rec := &trace.Recorder{Events: b.Events}
-	return rec.Timeline()
-}
 
 // tev is one Chrome trace event. Field order and omitempty choices are
 // part of the canonical encoding; timestamps are virtual-time microseconds
@@ -63,13 +45,14 @@ const (
 
 func us(t sim.Time) float64 { return float64(t) / 1e3 }
 
-// WritePerfetto renders the bundle as a Chrome trace-event JSON document
+// WritePerfetto renders the registry as a Chrome trace-event JSON document
 // (open at ui.perfetto.dev or chrome://tracing): one named thread per
-// protocol rank carrying its phase slices, one per registry span track
-// (collective operations, workload phases), and one counter track per
-// gauge series. The output is a pure function of the bundle — deterministic
-// across -workers like everything else telemetry emits.
-func (b *Bundle) WritePerfetto(w io.Writer) error {
+// protocol rank carrying its phase slices, one per span track (collective
+// operations, workload phases), and one counter track per gauge series of
+// the Snapshot. The output is a pure function of the recorded run —
+// deterministic across -workers like everything else telemetry emits.
+func (r *Registry) WritePerfetto(w io.Writer) error {
+	snap := r.Snapshot()
 	var evs []tev
 	add := func(e tev) { evs = append(evs, e) }
 
@@ -77,38 +60,37 @@ func (b *Bundle) WritePerfetto(w io.Writer) error {
 	// bound the phase slices: entering phase P at t1 and the next phase at
 	// t2 renders P as [t1, t2); the final event becomes an instant.
 	ranks := map[int]bool{}
-	for _, e := range b.Events {
+	for _, e := range r.PhaseEvents() {
 		ranks[e.Rank] = true
 	}
 	if len(ranks) > 0 {
 		add(tev{Name: "process_name", Ph: "M", Pid: pidProtocol, Args: nameArgs{Name: "protocol"}})
 		rankIDs := make([]int, 0, len(ranks))
-		for r := range ranks {
-			rankIDs = append(rankIDs, r)
+		for rank := range ranks {
+			rankIDs = append(rankIDs, rank)
 		}
 		sort.Ints(rankIDs)
-		rec := &trace.Recorder{Events: b.Events}
-		for _, r := range rankIDs {
-			add(tev{Name: "thread_name", Ph: "M", Pid: pidProtocol, Tid: r,
-				Args: nameArgs{Name: "rank " + strconv.Itoa(r)}})
-			byRank := rec.ByRank(r)
+		for _, rank := range rankIDs {
+			add(tev{Name: "thread_name", Ph: "M", Pid: pidProtocol, Tid: rank,
+				Args: nameArgs{Name: "rank " + strconv.Itoa(rank)}})
+			byRank := r.RankPhases(rank)
 			for i, e := range byRank {
 				if i+1 < len(byRank) {
 					add(tev{Name: e.Phase, Ph: "X", Ts: us(e.T), Dur: us(byRank[i+1].T - e.T),
-						Pid: pidProtocol, Tid: r, Args: detailArgs{Detail: e.Detail}})
+						Pid: pidProtocol, Tid: rank, Args: detailArgs{Detail: e.Detail}})
 				} else {
 					add(tev{Name: e.Phase, Ph: "i", Ts: us(e.T),
-						Pid: pidProtocol, Tid: r, Args: detailArgs{Detail: e.Detail}})
+						Pid: pidProtocol, Tid: rank, Args: detailArgs{Detail: e.Detail}})
 				}
 			}
 		}
 	}
 
 	// Registry spans: pid 2, one thread per track name (sorted).
-	if b.Snap != nil && len(b.Snap.Spans) > 0 {
+	if snap != nil && len(snap.Spans) > 0 {
 		add(tev{Name: "process_name", Ph: "M", Pid: pidSpans, Args: nameArgs{Name: "spans"}})
 		tracks := map[string]bool{}
-		for _, sp := range b.Snap.Spans {
+		for _, sp := range snap.Spans {
 			tracks[sp.Track] = true
 		}
 		names := make([]string, 0, len(tracks))
@@ -121,7 +103,7 @@ func (b *Bundle) WritePerfetto(w io.Writer) error {
 			tid[n] = i
 			add(tev{Name: "thread_name", Ph: "M", Pid: pidSpans, Tid: i, Args: nameArgs{Name: n}})
 		}
-		for _, sp := range b.Snap.Spans {
+		for _, sp := range snap.Spans {
 			add(tev{Name: sp.Name, Ph: "X", Ts: us(sp.Start), Dur: us(sp.End - sp.Start),
 				Pid: pidSpans, Tid: tid[sp.Track]})
 		}
@@ -129,9 +111,9 @@ func (b *Bundle) WritePerfetto(w io.Writer) error {
 
 	// Gauge series: pid 3 counter tracks, one per metric key, in snapshot
 	// (sorted-key) order.
-	if b.Snap != nil {
+	if snap != nil {
 		named := false
-		for _, m := range b.Snap.Metrics {
+		for _, m := range snap.Metrics {
 			if m.Type != "gauge" || len(m.Samples) == 0 {
 				continue
 			}

@@ -1,7 +1,8 @@
 // Package telemetry is the unified observability layer: a deterministic
 // metrics registry (counters, gauges, fixed-bucket histograms and spans,
-// keyed by subsystem/name{labels}) sampled in *virtual* time, plus a
-// Chrome-trace-event/Perfetto exporter over internal/trace protocol events.
+// keyed by subsystem/name{labels}) sampled in *virtual* time, the protocol
+// phase events of the paper's Figure 9, and two views over them: a text
+// timeline and a Chrome-trace-event/Perfetto export.
 //
 // Two invariants define the design:
 //
@@ -75,6 +76,7 @@ type Registry struct {
 	cfg     Config
 	metrics map[string]*metric
 	spans   []SpanRec
+	phases  []PhaseEvent
 }
 
 // New builds an enabled registry. Callers that want the disabled state use

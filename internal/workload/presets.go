@@ -12,7 +12,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -36,11 +35,9 @@ type Config struct {
 	// VerifyData backs collective buffers with real bytes so the result
 	// can be verified (replication preset).
 	VerifyData bool
-	// Tracer, when set, records protocol phase transitions of the
-	// multicast comms (the Figure 9 execution-flow view).
-	Tracer *trace.Recorder
-	// Metrics, when set, is threaded into each comm's core config so the
-	// protocol's phase counters accumulate there. Nil adds no cost.
+	// Metrics, when set, is threaded into each multicast comm's core
+	// config so the protocol's phase events (the Figure 9 execution-flow
+	// view) and phase counters accumulate there. Nil adds no cost.
 	Metrics *telemetry.Registry
 }
 
@@ -118,7 +115,7 @@ func FSDPJob(name, pair string, cfg Config, hostOffset int) Job {
 		// (the send path belongs to the Reduce-Scatter stream), in-network
 		// Reduce-Scatter on the send path.
 		ag = Comm{Name: "ag", Algorithm: "mcast-allgather", Options: registry.Options{
-			Core: core.Config{Transport: verbs.UD, Subgroups: 4, Chains: cfg.Nodes, Tracer: cfg.Tracer, Metrics: cfg.Metrics},
+			Core: core.Config{Transport: verbs.UD, Subgroups: 4, Chains: cfg.Nodes, Metrics: cfg.Metrics},
 		}}
 		rs = Comm{Name: "rs", Algorithm: "inc-reduce-scatter"}
 	default:
@@ -167,7 +164,6 @@ func dfsReplica(c Config) Workload {
 				Subgroups:   2,
 				VerifyData:  c.VerifyData,
 				CutoffAlpha: 200 * sim.Microsecond,
-				Tracer:      c.Tracer,
 				Metrics:     c.Metrics,
 			},
 		}}},
