@@ -500,8 +500,16 @@ func (st *bruckAGState) advance() {
 				copy(st.workMR.Data[b*st.n:(b+1)*st.n], rotated[src*st.n:(src+1)*st.n])
 			}
 		}
-		st.p.node.Ctx.DMA().Enqueue(size*st.n, func() { st.d.rankDone(st.p) })
+		st.p.node.Ctx.DMA().Enqueue(size*st.n, (*bruckUnrotated)(st), 0)
 	}
+}
+
+// bruckUnrotated completes the rank once the un-rotation copy lands.
+type bruckUnrotated bruckAGState
+
+func (u *bruckUnrotated) OnEvent(*sim.Engine, sim.Handle, uint64, int, any) {
+	st := (*bruckAGState)(u)
+	st.d.rankDone(st.p)
 }
 
 func (st *bruckAGState) done() bool { return st.fin }

@@ -458,3 +458,30 @@ func TestPropertyProtocolAlwaysCompletes(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestUDAllgatherReceivePathAllocFree gates the per-chunk receive path of a
+// warm UD Allgather: the staging-slot repost, the receive completion and
+// the staging-to-user DMA copy allocate nothing. Doubling the message
+// doubles the chunks; every rank receives P-1 of each chunk index but
+// sends only its own, so allocations per op may grow by at most the
+// wireMsg+Packet pair each extra *sent* datagram costs, and not at all per
+// extra received chunk.
+func TestUDAllgatherReceivePathAllocFree(t *testing.T) {
+	const p, chunk = 16, 4096
+	_, _, comm := buildComm(t, p, fabric.Config{}, Config{Transport: verbs.UD, ChunkBytes: chunk})
+	allocs := func(n int) float64 {
+		for i := 0; i < 2; i++ { // warm the rings, the event pool and the op state
+			if _, err := comm.RunAllgather(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(3, func() { comm.RunAllgather(n) })
+	}
+	const n = 64 << 10
+	small, large := allocs(n), allocs(2*n)
+	extraSent := p * n / chunk
+	if grow := large - small; grow > float64(2*extraSent) {
+		t.Fatalf("doubling the message grew allocs/op by %.0f (%.0f -> %.0f); the %d extra sent datagrams allow %d, the %d extra received chunks none",
+			grow, small, large, extraSent, 2*extraSent, (p-1)*extraSent)
+	}
+}

@@ -190,10 +190,7 @@ func (op *opState) begin() {
 		if op.sendMR.Data != nil && op.recvMR.Data != nil {
 			copy(op.recvMR.Data[r.id*op.n:r.id*op.n+op.n], op.sendMR.Data[:op.n])
 		}
-		r.ctx.DMA().Enqueue(op.n, func() {
-			op.dmaOut--
-			op.maybeRxDone()
-		})
+		r.ctx.DMA().Enqueue(op.n, (*opDMA)(op), 0)
 	case op.isRoot:
 		for l := 0; l < op.cpr; l++ {
 			op.bm.Set(l)
@@ -454,11 +451,19 @@ func (op *opState) chunkArrivedUD(s, slot, psn, bytes int) {
 		copy(op.recvMR.Data[off:off+length], st.Data[slot*op.chunk:slot*op.chunk+length])
 	}
 	op.dmaOut++
-	op.r.ctx.DMA().Enqueue(length, func() {
-		op.dmaOut--
-		op.maybeRxDone()
-	})
+	op.r.ctx.DMA().Enqueue(length, (*opDMA)(op), 0)
 	op.serveDeferred()
+	op.maybeRxDone()
+}
+
+// opDMA is the completion handler of an op's staging copies, a pointer
+// conversion of the op so that enqueuing a copy allocates nothing: each
+// completion retires one outstanding copy and may finish the receive phase.
+type opDMA opState
+
+func (d *opDMA) OnEvent(*sim.Engine, sim.Handle, uint64, int, any) {
+	op := (*opState)(d)
+	op.dmaOut--
 	op.maybeRxDone()
 }
 

@@ -142,8 +142,9 @@ type NIC struct {
 	Host    topology.NodeID
 	f       *Fabric
 	Deliver func(pkt *Packet)
-	// groups this NIC is attached to (receives multicast for them).
-	groups map[GroupID]bool
+	// groups[gid] reports whether this NIC is attached to group gid
+	// (receives multicast for it); it grows on AttachGroup.
+	groups []bool
 	// Injected/Received count packets through this NIC for diagnostics.
 	Injected uint64
 	Received uint64
@@ -164,7 +165,7 @@ type Fabric struct {
 
 	// chans[2*linkID+dir]: dir 0 = A->B, dir 1 = B->A.
 	chans        []channel
-	nics         map[topology.NodeID]*NIC
+	nics         []*NIC // nics[host]; nil until AttachNIC
 	groups       []*topology.MulticastTree
 	reduceGroups []*reduceGroup
 
@@ -186,7 +187,7 @@ func New(eng *sim.Engine, g *topology.Graph, cfg Config) *Fabric {
 		rt:   g.BuildRouting(),
 		cfg:  cfg,
 		rng:  eng.SplitRNG(),
-		nics: make(map[topology.NodeID]*NIC),
+		nics: make([]*NIC, len(g.Nodes)),
 	}
 	f.arriveH = (*arriveHandler)(f)
 	f.deliverH = (*deliverHandler)(f)
@@ -221,10 +222,10 @@ func (f *Fabric) AttachNIC(host topology.NodeID) *NIC {
 	if f.g.Nodes[host].Kind != topology.Host {
 		panic(fmt.Sprintf("fabric: AttachNIC(%d): not a host", host))
 	}
-	if nic, ok := f.nics[host]; ok {
+	if nic := f.nics[host]; nic != nil {
 		return nic
 	}
-	nic := &NIC{Host: host, f: f, groups: make(map[GroupID]bool)}
+	nic := &NIC{Host: host, f: f}
 	f.nics[host] = nic
 	return nic
 }
@@ -248,13 +249,25 @@ func (n *NIC) AttachGroup(gid GroupID) error {
 	if !mt.OnTree(n.Host) {
 		return fmt.Errorf("fabric: host %d is not a member of group %d", n.Host, gid)
 	}
+	if int(gid) >= len(n.groups) {
+		n.groups = append(n.groups, make([]bool, int(gid)+1-len(n.groups))...)
+	}
 	n.groups[gid] = true
 	return nil
 }
 
 // DetachGroup unsubscribes the NIC. Packets for the group still traverse
 // the tree but are not delivered locally.
-func (n *NIC) DetachGroup(gid GroupID) { delete(n.groups, gid) }
+func (n *NIC) DetachGroup(gid GroupID) {
+	if n.attached(gid) {
+		n.groups[gid] = false
+	}
+}
+
+// attached reports whether the NIC receives multicast for gid.
+func (n *NIC) attached(gid GroupID) bool {
+	return gid >= 0 && int(gid) < len(n.groups) && n.groups[gid]
+}
 
 // MaxPayload returns the fabric MTU (maximum packet payload bytes).
 func (f *Fabric) MaxPayload() int { return f.cfg.MTU }
@@ -354,7 +367,7 @@ type deliverHandler Fabric
 
 func (h *deliverHandler) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, _ int, obj any) {
 	f := (*Fabric)(h)
-	if nic, ok := f.nics[topology.NodeID(arg0)]; ok {
+	if nic := f.nics[arg0]; nic != nil {
 		f.deliverNow(nic, obj.(*Packet))
 	}
 }
@@ -429,11 +442,11 @@ func (f *Fabric) deliverToHost(pkt *Packet, host topology.NodeID) {
 		f.BackgroundDelivered++
 		return
 	}
-	nic, ok := f.nics[host]
-	if !ok {
+	nic := f.nics[host]
+	if nic == nil {
 		return // host without a NIC silently drops (e.g. non-participants)
 	}
-	if pkt.Group != NoGroup && !nic.groups[pkt.Group] {
+	if pkt.Group != NoGroup && !nic.attached(pkt.Group) {
 		return // on the tree for forwarding reasons but not attached
 	}
 	if j := f.cfg.ReorderJitter; j > 0 {
@@ -703,6 +716,8 @@ func (f *Fabric) ResetCounters() {
 	f.TotalDropped = 0
 	f.BackgroundInjected, f.BackgroundDelivered, f.BackgroundBytes = 0, 0, 0
 	for _, nic := range f.nics {
-		nic.Injected, nic.Received = 0, 0
+		if nic != nil {
+			nic.Injected, nic.Received = 0, 0
+		}
 	}
 }

@@ -66,6 +66,9 @@ func forkedResilienceRecord(t *testing.T, s sweep.Spec, prefix sim.Time) sweep.R
 
 	// Rewind and replay the continuation.
 	fork.rewind()
+	if err := eng.CheckQueue(); err != nil {
+		t.Fatalf("queue after rewind at %v: %v", prefix, err)
+	}
 	res = nil
 	for res == nil && eng.Now() < resilienceHorizon && eng.Executed < resilienceEventBudget {
 		eng.RunFor(sim.Millisecond)

@@ -23,8 +23,12 @@ import (
 
 // modelSnapConfig lists the pointer-target types the reflective capture
 // must not follow: immutable shared structure (the topology graph, routing
-// tables, multicast trees — built once, never mutated) and the engine,
-// whose state is captured natively by sim.Snapshot. Byte slices are
+// tables, multicast trees — built once, never mutated) and the engine and
+// its events, whose state is captured natively by sim.Snapshot. The engine
+// is the only owner of its events: a sim.Handle held by model state keeps
+// its pointer and generation, while Engine.Restore re-files the event
+// itself, so a capture that followed the pointer would write stale queue
+// bookkeeping (slot, region, time) over the re-filed event. Byte slices are
 // declared bulk payload: message and staging buffers carry tens of
 // megabytes whose content never influences event timing (the simulation
 // times sizes, not bytes; the harness never enables data verification),
@@ -34,6 +38,7 @@ func modelSnapConfig() snap.Config {
 	return snap.Config{
 		Skip: []reflect.Type{
 			reflect.TypeOf(sim.Engine{}),
+			reflect.TypeOf(sim.Event{}),
 			reflect.TypeOf(topology.Graph{}),
 			reflect.TypeOf(topology.RoutingTable{}),
 			reflect.TypeOf(topology.MulticastTree{}),

@@ -18,10 +18,14 @@
 // a hybrid: a bucketed near-future calendar ("ladder") covering a sliding
 // window ahead of the clock, backed by a binary heap for far-future events
 // (retransmission timers, cutoff timers, scenario schedules). Insertion
-// into the window is O(1); each bucket is sorted once when the clock
-// reaches it. The pop order is exactly the (at, seq) order a single binary
-// heap would produce — engine_test.go checks this against a reference heap
-// over randomized schedules.
+// into the window is O(1). When the clock reaches a bucket, a counting
+// sort on each event's offset inside the bucket orders it in O(n) with no
+// comparisons (short buckets take an insertion sort). The sort is stable
+// and keyed on time alone; it yields the full (time, seq) order because
+// every bucket keeps its equal-time events in sequence order, an
+// invariant CheckQueue verifies. The pop order is exactly the (at, seq)
+// order a single binary heap would produce — hybrid_test.go checks this
+// against a reference heap over randomized and fuzzer-chosen schedules.
 //
 // # Closure-free scheduling
 //
@@ -37,7 +41,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -80,6 +83,10 @@ const (
 	bucketWidth = Time(1) << bucketShift
 	numBuckets  = 256
 	windowSpan  = Time(numBuckets) << bucketShift
+
+	// insertionMax is the largest bucket openBucket insertion-sorts; a
+	// longer one is counting-sorted over its bucketWidth offsets.
+	insertionMax = 24
 )
 
 // Event locations within the hybrid queue.
@@ -148,11 +155,11 @@ func (e *Event) Cancel() {
 	eng.live--
 	switch e.where {
 	case locFar:
-		heap.Remove(&eng.far, e.index)
+		eng.far.remove(e.index)
 		e.where = locNone
 		eng.release(e)
 	case locCur:
-		heap.Remove(&eng.cur, e.index)
+		eng.cur.remove(e.index)
 		eng.nearCount--
 		e.where = locNone
 		eng.release(e)
@@ -199,35 +206,71 @@ func (h Handle) Time() Time {
 	return h.ev.at
 }
 
-// eventHeap orders events by (at, seq); used for the far-future overflow
-// and for insertions into the already-open bucket.
+// eventHeap is a binary min-heap on (at, seq) that keeps each event's slot
+// in Event.index; it holds the far-future overflow and the insertions into
+// the already-open bucket. It is typed rather than a container/heap
+// interface so the sift loops compare and move events without dynamic
+// dispatch; the layouts are the ones container/heap would produce.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
+
+// remove takes the event in slot i out of the heap and returns it.
+func (h *eventHeap) remove(i int) *Event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	ev := old[i]
+	last := old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i != n && !h.down(i, last) {
+		h.up(i, last)
+	}
+	ev.index = -1
+	return ev
+}
+
+// up files ev into the hole at slot j, moving it toward the root past
+// every later-firing parent.
+func (h eventHeap) up(j int, ev *Event) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !before(ev, h[i]) {
+			break
+		}
+		h[j] = h[i]
+		h[j].index = j
+		j = i
+	}
+	h[j] = ev
+	ev.index = j
+}
+
+// down files ev into the hole at slot i0, moving it toward the leaves past
+// every earlier-firing child; it reports whether ev moved.
+func (h eventHeap) down(i0 int, ev *Event) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			break
+		}
+		if r := j + 1; r < len(h) && before(h[r], h[j]) {
+			j = r
+		}
+		if !before(h[j], ev) {
+			break
+		}
+		h[i] = h[j]
+		h[i].index = i
+		i = j
+	}
+	h[i] = ev
+	ev.index = i
+	return i > i0
 }
 
 // before reports whether a fires before b under the engine's total order.
@@ -264,6 +307,11 @@ type Engine struct {
 	live int // scheduled, not yet fired, not cancelled
 
 	free []*Event // recycled handler events
+
+	// openBucket's counting-sort scratch, kept so that opening a bucket
+	// does not allocate in steady state.
+	counts [bucketWidth + 1]int32
+	sorted []*Event
 
 	// Throughput counters, exported so harnesses can surface engine
 	// throughput in their Records (all three are deterministic counts).
@@ -428,7 +476,7 @@ func (e *Engine) schedule(ev *Event) {
 		idx := int(delta >> bucketShift)
 		if idx == e.cursor && e.opened {
 			ev.where = locCur
-			heap.Push(&e.cur, ev)
+			e.cur.push(ev)
 			e.nearCount++
 			return
 		}
@@ -444,7 +492,7 @@ func (e *Engine) schedule(ev *Event) {
 		return
 	}
 	ev.where = locFar
-	heap.Push(&e.far, ev)
+	e.far.push(ev)
 }
 
 // closeOpen folds an open bucket back into unsorted state: the unconsumed
@@ -461,7 +509,7 @@ func (e *Engine) closeOpen() {
 	}
 	b = b[:n]
 	for len(e.cur) > 0 {
-		ev := heap.Pop(&e.cur).(*Event)
+		ev := e.cur.remove(0)
 		ev.where = locBucket
 		b = append(b, ev)
 	}
@@ -477,7 +525,7 @@ func (e *Engine) rebase(t Time) {
 	for i := range e.buckets {
 		for _, ev := range e.buckets[i] {
 			ev.where = locFar
-			heap.Push(&e.far, ev)
+			e.far.push(ev)
 		}
 		e.buckets[i] = e.buckets[i][:0]
 	}
@@ -491,7 +539,7 @@ func (e *Engine) rebase(t Time) {
 // their buckets. Callers reset cursor before refilling.
 func (e *Engine) refill() {
 	for len(e.far) > 0 && e.far[0].at-e.base < windowSpan {
-		ev := heap.Pop(&e.far).(*Event)
+		ev := e.far.remove(0)
 		ev.where = locBucket
 		idx := int((ev.at - e.base) >> bucketShift)
 		e.buckets[idx] = append(e.buckets[idx], ev)
@@ -500,21 +548,47 @@ func (e *Engine) refill() {
 }
 
 // openBucket sorts the cursor's bucket by (at, seq) and starts consuming it.
-// slices.SortFunc rather than sort.Slice: no reflection, no per-call
-// allocation, and (at, seq) keys are unique so instability cannot matter.
+//
+// The sort is a stable sort on the 9-bit in-bucket offset at-start alone:
+// a counting sort for large buckets, an insertion sort for short ones.
+// That is a full (at, seq) sort because every bucket already holds its
+// equal-at events in seq order. Direct appends carry the newest seq; refill
+// and rebase drain the far heap in (at, seq) order into emptied buckets;
+// closeOpen puts the sorted remainder before the later-seq open-bucket
+// inserts; and Restore re-files a Snapshot's events in (at, seq) order.
 func (e *Engine) openBucket() {
-	slices.SortFunc(e.buckets[e.cursor], func(a, b *Event) int {
-		if a.at != b.at {
-			if a.at < b.at {
-				return -1
+	b := e.buckets[e.cursor]
+	start := e.base + Time(e.cursor)<<bucketShift
+	if len(b) <= insertionMax {
+		for i := 1; i < len(b); i++ {
+			ev := b[i]
+			j := i
+			for ; j > 0 && b[j-1].at > ev.at; j-- {
+				b[j] = b[j-1]
 			}
-			return 1
+			b[j] = ev
 		}
-		if a.seq < b.seq {
-			return -1
+	} else {
+		// counts[k+1] tallies offset k; the prefix sum turns counts[k] into
+		// the first output slot of offset k.
+		counts := &e.counts
+		clear(counts[:])
+		for _, ev := range b {
+			counts[ev.at-start+1]++
 		}
-		return 1
-	})
+		for k := 1; k < len(counts); k++ {
+			counts[k] += counts[k-1]
+		}
+		sorted := slices.Grow(e.sorted[:0], len(b))[:len(b)]
+		for _, ev := range b {
+			k := ev.at - start
+			sorted[counts[k]] = ev
+			counts[k]++
+		}
+		copy(b, sorted)
+		clear(sorted) // the scratch must not pin fired closure events
+		e.sorted = sorted[:0]
+	}
 	e.pos = 0
 	e.opened = true
 }
@@ -560,7 +634,7 @@ func (e *Engine) peekEvent() *Event {
 			ev.where = locNone
 			e.release(ev)
 		}
-		// No cancelled-entry sweep for e.cur: Cancel heap.Removes open-bucket
+		// No cancelled-entry sweep for e.cur: Cancel removes open-bucket
 		// entries eagerly, so its root is always live.
 		var next *Event
 		if e.pos < len(b) {
@@ -587,7 +661,7 @@ func (e *Engine) popEvent() *Event {
 		return nil
 	}
 	if ev.where == locCur {
-		heap.Pop(&e.cur)
+		e.cur.remove(0)
 	} else {
 		e.buckets[e.cursor][e.pos] = nil
 		e.pos++

@@ -24,8 +24,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"unsafe"
 )
 
@@ -109,7 +111,8 @@ func (s *Snapshot) Bytes() int {
 
 // Snapshot captures the engine's current state. The engine may keep
 // running afterwards; the snapshot is unaffected (event records are
-// copied out of the queue, never aliased into it).
+// copied out of the queue, never aliased into it). Records are kept in
+// (at, seq) order.
 func (e *Engine) Snapshot() *Snapshot {
 	s := &Snapshot{
 		now:       e.now,
@@ -152,6 +155,14 @@ func (e *Engine) Snapshot() *Snapshot {
 	for _, ev := range e.far {
 		record(ev)
 	}
+	// Restore re-files the records in this order, and openBucket relies on
+	// every bucket holding its equal-at events in seq order.
+	slices.SortFunc(s.events, func(a, b eventRecord) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
 	return s
 }
 

@@ -405,8 +405,11 @@ func (g *Graph) BuildRouting() *RoutingTable {
 // arriving on one tree port is replicated to every other tree port.
 type MulticastTree struct {
 	Root NodeID
-	// TreePorts[node] lists the port indices of node that are tree edges.
-	TreePorts map[NodeID][]int
+	// TreePorts[node] lists the port indices of node that are tree edges,
+	// in ascending order; it is empty for nodes off the tree. The table is
+	// dense, one entry per graph node, because switches consult it for
+	// every multicast packet they replicate.
+	TreePorts [][]int
 	// ParentPort[node] is the tree port leading toward the root (absent for
 	// the root itself). In-network reduction routes contributions up along
 	// these ports.
@@ -417,8 +420,7 @@ type MulticastTree struct {
 
 // OnTree reports whether node n participates in the tree.
 func (mt *MulticastTree) OnTree(n NodeID) bool {
-	_, ok := mt.TreePorts[n]
-	return ok
+	return len(mt.TreePorts[n]) > 0
 }
 
 // BuildMulticastTree computes the spanning tree for a group: shortest paths
@@ -453,7 +455,7 @@ func (g *Graph) BuildMulticastTree(root NodeID, members []NodeID) (*MulticastTre
 	}
 	tree := &MulticastTree{
 		Root:       root,
-		TreePorts:  make(map[NodeID][]int),
+		TreePorts:  make([][]int, len(g.Nodes)),
 		ParentPort: make(map[NodeID]int),
 	}
 	addPort := func(n NodeID, p int) {
@@ -489,8 +491,8 @@ func (g *Graph) BuildMulticastTree(root NodeID, members []NodeID) (*MulticastTre
 		}
 	}
 	sort.Slice(tree.Members, func(i, j int) bool { return tree.Members[i] < tree.Members[j] })
-	for n := range tree.TreePorts {
-		sort.Ints(tree.TreePorts[n])
+	for _, ports := range tree.TreePorts {
+		sort.Ints(ports)
 	}
 	return tree, nil
 }

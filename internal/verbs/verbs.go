@@ -120,7 +120,7 @@ type CQE struct {
 // CQ is a completion queue. Entries are appended in completion order and
 // drained by the progress engine (host worker or DPA thread model).
 type CQ struct {
-	entries []CQE
+	entries ring[CQE]
 	// Armed, when set, fires once on the next completion and is then
 	// cleared — the event-driven activation model of DOCA FlexIO (§II-C).
 	Armed func()
@@ -130,7 +130,7 @@ type CQ struct {
 
 // Push appends a completion. Protocol code never calls this directly.
 func (cq *CQ) Push(e CQE) {
-	cq.entries = append(cq.entries, e)
+	cq.entries.push(e)
 	cq.Produced++
 	if cq.Armed != nil {
 		fn := cq.Armed
@@ -140,17 +140,10 @@ func (cq *CQ) Push(e CQE) {
 }
 
 // Poll removes and returns the oldest completion.
-func (cq *CQ) Poll() (CQE, bool) {
-	if len(cq.entries) == 0 {
-		return CQE{}, false
-	}
-	e := cq.entries[0]
-	cq.entries = cq.entries[1:]
-	return e, true
-}
+func (cq *CQ) Poll() (CQE, bool) { return cq.entries.pop() }
 
 // Len returns the number of completions waiting.
-func (cq *CQ) Len() int { return len(cq.entries) }
+func (cq *CQ) Len() int { return cq.entries.len() }
 
 // MR is a registered memory region. If Data is non-nil its length must be
 // Size and transfers copy real bytes; otherwise only sizes/offsets flow.
@@ -238,12 +231,11 @@ type Context struct {
 	nic  *fabric.NIC
 	cfg  Config
 
-	qps     map[QPN]*QP
-	nextQPN QPN
+	qps     []*QP // qps[n-1] is QP number n
 	mrs     map[uint32]*MR
 	nextKey uint32
 	// mcast[group] lists local QPs attached to the group.
-	mcast map[fabric.GroupID][]*QP
+	mcast [][]*QP
 	dma   *DMAEngine
 
 	nextMsgID uint64
@@ -260,14 +252,12 @@ type Context struct {
 func NewContext(f *fabric.Fabric, host topology.NodeID, cfg Config) *Context {
 	cfg = cfg.withDefaults()
 	ctx := &Context{
-		Host:  host,
-		f:     f,
-		eng:   f.Engine(),
-		nic:   f.AttachNIC(host),
-		cfg:   cfg,
-		qps:   make(map[QPN]*QP),
-		mrs:   make(map[uint32]*MR),
-		mcast: make(map[fabric.GroupID][]*QP),
+		Host: host,
+		f:    f,
+		eng:  f.Engine(),
+		nic:  f.AttachNIC(host),
+		cfg:  cfg,
+		mrs:  make(map[uint32]*MR),
 	}
 	ctx.dma = newDMAEngine(ctx.eng, cfg.DMABandwidth, cfg.DMALatency)
 	ctx.nic.Deliver = ctx.dispatch
@@ -321,7 +311,7 @@ type QP struct {
 	sendCQ    *CQ
 	recvCQ    *CQ
 
-	rq      []recvWQE
+	rq      ring[recvWQE]
 	rqDepth int
 
 	// UC/RC connection state.
@@ -348,9 +338,8 @@ func (ctx *Context) NewQP(t Transport, sendCQ, recvCQ *CQ, rqDepth int) *QP {
 	if rqDepth <= 0 {
 		rqDepth = ctx.cfg.RQDepth
 	}
-	ctx.nextQPN++
 	qp := &QP{
-		N:           ctx.nextQPN,
+		N:           QPN(len(ctx.qps) + 1),
 		Transport:   t,
 		ctx:         ctx,
 		sendCQ:      sendCQ,
@@ -360,7 +349,7 @@ func (ctx *Context) NewQP(t Transport, sendCQ, recvCQ *CQ, rqDepth int) *QP {
 		assembly:    make(map[assemblyKey]*assemblyState),
 		completedRC: make(map[assemblyKey]bool),
 	}
-	ctx.qps[qp.N] = qp
+	ctx.qps = append(ctx.qps, qp)
 	return qp
 }
 
@@ -387,6 +376,9 @@ func (qp *QP) AttachMcast(g fabric.GroupID) error {
 		return err
 	}
 	ctx := qp.ctx
+	if int(g) >= len(ctx.mcast) {
+		ctx.mcast = append(ctx.mcast, make([][]*QP, int(g)+1-len(ctx.mcast))...)
+	}
 	for _, q := range ctx.mcast[g] {
 		if q == qp {
 			return nil
@@ -399,24 +391,17 @@ func (qp *QP) AttachMcast(g fabric.GroupID) error {
 // PostRecv posts one receive WQE. For UD each WQE absorbs one datagram;
 // for RC sends it absorbs one message. Returns false when the RQ is full.
 func (qp *QP) PostRecv(wrID uint64, mr *MR, offset, length int) bool {
-	if len(qp.rq) >= qp.rqDepth {
+	if qp.rq.len() >= qp.rqDepth {
 		return false
 	}
-	qp.rq = append(qp.rq, recvWQE{wrID: wrID, mr: mr, offset: offset, length: length})
+	qp.rq.push(recvWQE{wrID: wrID, mr: mr, offset: offset, length: length})
 	return true
 }
 
 // RQLen returns the number of posted, unconsumed receives.
-func (qp *QP) RQLen() int { return len(qp.rq) }
+func (qp *QP) RQLen() int { return qp.rq.len() }
 
-func (qp *QP) popRecv() (recvWQE, bool) {
-	if len(qp.rq) == 0 {
-		return recvWQE{}, false
-	}
-	w := qp.rq[0]
-	qp.rq = qp.rq[1:]
-	return w, true
-}
+func (qp *QP) popRecv() (recvWQE, bool) { return qp.rq.pop() }
 
 // --- wire format ------------------------------------------------------------
 
@@ -473,14 +458,14 @@ func (ctx *Context) inject(dst Addr, m *wireMsg, payloadBytes int, flow uint64) 
 func (ctx *Context) dispatch(pkt *fabric.Packet) {
 	m := pkt.Payload.(*wireMsg)
 	if pkt.Group != fabric.NoGroup {
+		// The NIC delivers only groups some QP here attached to.
 		for _, qp := range ctx.mcast[pkt.Group] {
 			qp.receive(pkt, m)
 		}
 		return
 	}
-	qp, ok := ctx.qps[m.dstQPN]
-	if !ok {
-		return // stale packet to a destroyed QP: silently dropped, as in IB
+	if m.dstQPN == 0 || int(m.dstQPN) > len(ctx.qps) {
+		return // no such QP: silently dropped, as in IB
 	}
-	qp.receive(pkt, m)
+	ctx.qps[m.dstQPN-1].receive(pkt, m)
 }
