@@ -500,7 +500,7 @@ func (st *bruckAGState) advance() {
 				copy(st.workMR.Data[b*st.n:(b+1)*st.n], rotated[src*st.n:(src+1)*st.n])
 			}
 		}
-		st.p.node.Ctx.DMA().Enqueue(size*st.n, (*bruckUnrotated)(st), 0)
+		st.p.node.Ctx.DMA().Enqueue(size*st.n, (*bruckUnrotated)(st))
 	}
 }
 

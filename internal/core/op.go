@@ -190,7 +190,7 @@ func (op *opState) begin() {
 		if op.sendMR.Data != nil && op.recvMR.Data != nil {
 			copy(op.recvMR.Data[r.id*op.n:r.id*op.n+op.n], op.sendMR.Data[:op.n])
 		}
-		r.ctx.DMA().Enqueue(op.n, (*opDMA)(op), 0)
+		r.ctx.DMA().Enqueue(op.n, (*opDMA)(op))
 	case op.isRoot:
 		for l := 0; l < op.cpr; l++ {
 			op.bm.Set(l)
@@ -451,7 +451,7 @@ func (op *opState) chunkArrivedUD(s, slot, psn, bytes int) {
 		copy(op.recvMR.Data[off:off+length], st.Data[slot*op.chunk:slot*op.chunk+length])
 	}
 	op.dmaOut++
-	op.r.ctx.DMA().Enqueue(length, (*opDMA)(op), 0)
+	op.r.ctx.DMA().Enqueue(length, (*opDMA)(op))
 	op.serveDeferred()
 	op.maybeRxDone()
 }

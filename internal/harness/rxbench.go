@@ -149,7 +149,7 @@ func RunRxBench(cfg RxBenchConfig) RxBenchResult {
 				// Re-post the staging slot and queue the staging->user copy.
 				slot := int(e.WrID)
 				conns[w].srvQP.PostRecv(e.WrID, conns[w].staging, slot*cfg.ChunkBytes, cfg.ChunkBytes)
-				server.DMA().Enqueue(e.Bytes, nil, 0)
+				server.DMA().Enqueue(e.Bytes, nil)
 			}
 		}
 		c.wkr.Start()

@@ -20,12 +20,12 @@
 // (retransmission timers, cutoff timers, scenario schedules). Insertion
 // into the window is O(1). When the clock reaches a bucket, a counting
 // sort on each event's offset inside the bucket orders it in O(n) with no
-// comparisons (short buckets take an insertion sort). The sort is stable
-// and keyed on time alone; it yields the full (time, seq) order because
-// every bucket keeps its equal-time events in sequence order, an
-// invariant CheckQueue verifies. The pop order is exactly the (at, seq)
-// order a single binary heap would produce — hybrid_test.go checks this
-// against a reference heap over randomized and fuzzer-chosen schedules.
+// comparisons. The sort is stable and keyed on time alone; it yields the
+// full (time, seq) order because every bucket keeps its equal-time events
+// in sequence order, an invariant CheckQueue verifies. The pop order is exactly the (at, seq)
+// order a single binary heap would produce — checked against a reference
+// heap over randomized schedules (hybrid_test.go) and fuzzer-chosen ones
+// (FuzzHybridMatchesReferenceHeap in fuzz_test.go).
 //
 // # Closure-free scheduling
 //
@@ -83,10 +83,6 @@ const (
 	bucketWidth = Time(1) << bucketShift
 	numBuckets  = 256
 	windowSpan  = Time(numBuckets) << bucketShift
-
-	// insertionMax is the largest bucket openBucket insertion-sorts; a
-	// longer one is counting-sorted over its bucketWidth offsets.
-	insertionMax = 24
 )
 
 // Event locations within the hybrid queue.
@@ -549,46 +545,34 @@ func (e *Engine) refill() {
 
 // openBucket sorts the cursor's bucket by (at, seq) and starts consuming it.
 //
-// The sort is a stable sort on the 9-bit in-bucket offset at-start alone:
-// a counting sort for large buckets, an insertion sort for short ones.
-// That is a full (at, seq) sort because every bucket already holds its
-// equal-at events in seq order. Direct appends carry the newest seq; refill
+// The sort is a stable counting sort on the 9-bit in-bucket offset
+// at-start alone. That is a full (at, seq) sort because every bucket
+// already holds its equal-at events in seq order. Direct appends carry the newest seq; refill
 // and rebase drain the far heap in (at, seq) order into emptied buckets;
 // closeOpen puts the sorted remainder before the later-seq open-bucket
 // inserts; and Restore re-files a Snapshot's events in (at, seq) order.
 func (e *Engine) openBucket() {
 	b := e.buckets[e.cursor]
 	start := e.base + Time(e.cursor)<<bucketShift
-	if len(b) <= insertionMax {
-		for i := 1; i < len(b); i++ {
-			ev := b[i]
-			j := i
-			for ; j > 0 && b[j-1].at > ev.at; j-- {
-				b[j] = b[j-1]
-			}
-			b[j] = ev
-		}
-	} else {
-		// counts[k+1] tallies offset k; the prefix sum turns counts[k] into
-		// the first output slot of offset k.
-		counts := &e.counts
-		clear(counts[:])
-		for _, ev := range b {
-			counts[ev.at-start+1]++
-		}
-		for k := 1; k < len(counts); k++ {
-			counts[k] += counts[k-1]
-		}
-		sorted := slices.Grow(e.sorted[:0], len(b))[:len(b)]
-		for _, ev := range b {
-			k := ev.at - start
-			sorted[counts[k]] = ev
-			counts[k]++
-		}
-		copy(b, sorted)
-		clear(sorted) // the scratch must not pin fired closure events
-		e.sorted = sorted[:0]
+	// counts[k+1] tallies offset k; the prefix sum turns counts[k] into
+	// the first output slot of offset k.
+	counts := &e.counts
+	clear(counts[:])
+	for _, ev := range b {
+		counts[ev.at-start+1]++
 	}
+	for k := 1; k < len(counts); k++ {
+		counts[k] += counts[k-1]
+	}
+	sorted := slices.Grow(e.sorted[:0], len(b))[:len(b)]
+	for _, ev := range b {
+		k := ev.at - start
+		sorted[counts[k]] = ev
+		counts[k]++
+	}
+	copy(b, sorted)
+	clear(sorted) // the scratch must not pin fired closure events
+	e.sorted = sorted[:0]
 	e.pos = 0
 	e.opened = true
 }

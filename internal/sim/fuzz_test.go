@@ -141,9 +141,9 @@ func (b *fuzzBytes) delay() Time {
 // fuzzer-chosen schedule, cancel, re-arm, step, RunUntil-then-earlier-
 // schedule, burst and mid-sequence Snapshot/Restore operations, checking
 // every firing against the reference order and the queue bookkeeping after
-// every operation. Bursts put more than insertionMax events, with equal-time
-// ties, into one bucket, so the counting-sort path and the seq tie-break
-// both run.
+// every operation. Bursts put 16 to 79 events, with equal-time ties, into
+// one bucket, so the counting sort meets both sparse and crowded offsets
+// and the seq tie-break runs.
 func FuzzHybridMatchesReferenceHeap(f *testing.F) {
 	// One byte selects the operation (its value mod 8, as in the switch
 	// below); the bytes after it are that operation's arguments.
@@ -197,7 +197,7 @@ func FuzzHybridMatchesReferenceHeap(f *testing.F) {
 				z.snapshot()
 			case 6: // burst into one bucket: ties plus in-bucket spread
 				d := Time(in.take()) << bucketShift
-				n := int(in.take()%64) + insertionMax - 8
+				n := int(in.take()%64) + 16
 				spread := Time(in.take())%bucketWidth + 1
 				for i := 0; i < n; i++ {
 					z.schedule(d + Time(i*7)%spread)

@@ -25,11 +25,11 @@ func newDMAEngine(eng *sim.Engine, bw float64, latency sim.Time) *DMAEngine {
 }
 
 // Enqueue schedules a copy of n bytes. At completion time the engine
-// counts the copy and then, if h is non-nil, runs h.OnEvent with arg0 and
-// arg1 = n: a closure-free completion, so a copy per received chunk
-// allocates nothing. Enqueue never blocks the caller: the posting cost on
-// the worker is accounted by the execution model, not here.
-func (d *DMAEngine) Enqueue(n int, h sim.Handler, arg0 uint64) sim.Time {
+// counts the copy and then, if h is non-nil, runs h.OnEvent with arg1 = n:
+// a closure-free completion, so a copy per received chunk allocates
+// nothing. Enqueue never blocks the caller: the posting cost on the worker
+// is accounted by the execution model, not here.
+func (d *DMAEngine) Enqueue(n int, h sim.Handler) sim.Time {
 	if n < 0 {
 		panic("verbs: negative DMA length")
 	}
@@ -39,18 +39,18 @@ func (d *DMAEngine) Enqueue(n int, h sim.Handler, arg0 uint64) sim.Time {
 	}
 	d.nextFree = start + sim.Time(float64(n)/d.bw*1e9)
 	completion := d.nextFree + d.latency
-	d.eng.AtHandler(completion, d, arg0, n, h)
+	d.eng.AtHandler(completion, d, 0, n, h)
 	return completion
 }
 
 // OnEvent completes one staged copy; arg1 is the byte count, obj the
 // caller's completion handler (nil when there is none), which receives
-// arg0 and arg1.
-func (d *DMAEngine) OnEvent(e *sim.Engine, ev sim.Handle, arg0 uint64, arg1 int, obj any) {
+// the byte count as its arg1.
+func (d *DMAEngine) OnEvent(e *sim.Engine, ev sim.Handle, _ uint64, arg1 int, obj any) {
 	d.Copies++
 	d.BytesCopied += uint64(arg1)
 	if h, ok := obj.(sim.Handler); ok {
-		h.OnEvent(e, ev, arg0, arg1, nil)
+		h.OnEvent(e, ev, 0, arg1, nil)
 	}
 }
 

@@ -517,13 +517,11 @@ func TestUnconnectedOpsPanic(t *testing.T) {
 // dmaDone records the completions a DMA engine hands its handler.
 type dmaDone struct {
 	at    []sim.Time
-	arg0  []uint64
 	bytes []int
 }
 
-func (h *dmaDone) OnEvent(e *sim.Engine, _ sim.Handle, arg0 uint64, arg1 int, _ any) {
+func (h *dmaDone) OnEvent(e *sim.Engine, _ sim.Handle, _ uint64, arg1 int, _ any) {
 	h.at = append(h.at, e.Now())
-	h.arg0 = append(h.arg0, arg0)
 	h.bytes = append(h.bytes, arg1)
 }
 
@@ -533,8 +531,8 @@ func TestDMAEngineOrderingAndLatency(t *testing.T) {
 	done := &dmaDone{}
 	// Two back-to-back 32 KB copies: first completes at 32768/32e9 s + 1.5µs
 	// = 1024ns + 1500ns; second serializes behind the first's bandwidth slot.
-	d.Enqueue(32768, done, 7)
-	d.Enqueue(32768, done, 8)
+	d.Enqueue(32768, done)
+	d.Enqueue(32768, done)
 	eng.Run()
 	if len(done.at) != 2 {
 		t.Fatal("copies did not complete")
@@ -545,8 +543,8 @@ func TestDMAEngineOrderingAndLatency(t *testing.T) {
 	if done.at[1] != 3548 {
 		t.Fatalf("second copy at %v, want 3548ns", done.at[1])
 	}
-	if done.arg0[0] != 7 || done.arg0[1] != 8 || done.bytes[0] != 32768 {
-		t.Fatalf("completion args: arg0 %v, bytes %v", done.arg0, done.bytes)
+	if done.bytes[0] != 32768 || done.bytes[1] != 32768 {
+		t.Fatalf("completion byte counts %v", done.bytes)
 	}
 	if d.Copies != 2 || d.BytesCopied != 65536 {
 		t.Fatalf("counters: %d copies %d bytes", d.Copies, d.BytesCopied)
@@ -559,7 +557,7 @@ func TestDMAQuiesced(t *testing.T) {
 	if d.Quiesced() != 0 {
 		t.Fatalf("idle Quiesced = %v", d.Quiesced())
 	}
-	d.Enqueue(1000, nil, 0) // 1000ns serialize + 1000ns latency
+	d.Enqueue(1000, nil) // 1000ns serialize + 1000ns latency
 	if q := d.Quiesced(); q != 2000 {
 		t.Fatalf("Quiesced = %v, want 2000", q)
 	}
