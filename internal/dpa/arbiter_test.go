@@ -70,11 +70,7 @@ func TestArbiterWakesOnLateTraffic(t *testing.T) {
 	a.Subscribe(cqA, func(verbs.CQE) { served++ })
 	a.Subscribe(cqB, func(verbs.CQE) { served++ })
 	// Nothing yet; traffic arrives later on the second queue only.
-	eng.After(10*sim.Microsecond, func() {
-		for i := 0; i < 5; i++ {
-			cqB.Push(verbs.CQE{})
-		}
-	})
+	eng.AfterHandler(10*sim.Microsecond, cqPush{}, 0, 5, cqB)
 	eng.Run()
 	if served != 5 {
 		t.Fatalf("served %d of 5 late completions", served)

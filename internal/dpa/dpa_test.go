@@ -206,10 +206,20 @@ func TestWorkerWakesOnArm(t *testing.T) {
 		t.Fatalf("worker did not idle on empty CQ")
 	}
 	// A push at t=5µs must wake it.
-	eng.After(5*sim.Microsecond, func() { cq.Push(verbs.CQE{}) })
+	eng.AfterHandler(5*sim.Microsecond, cqPush{}, 0, 1, cq)
 	eng.Run()
 	if w.Processed != 1 {
 		t.Fatalf("worker did not wake on push")
+	}
+}
+
+// cqPush pushes arg1 empty completions onto the *verbs.CQ its event
+// carries: traffic arriving later in virtual time.
+type cqPush struct{}
+
+func (cqPush) OnEvent(_ *sim.Engine, _ sim.Handle, _ uint64, n int, obj any) {
+	for i := 0; i < n; i++ {
+		obj.(*verbs.CQ).Push(verbs.CQE{})
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/collective"
@@ -19,9 +20,19 @@ import (
 // multiple fork points. This is what makes `repro
 // replay` an exact debugger rather than an approximation.
 
-// forkedResilienceRecord runs one quiet resilience point with a mid-run
-// rewind at `prefix` of virtual time, mirroring resilienceRun's driving
-// loop and record assembly exactly.
+// runToNextMillisecond advances the engine to the next whole millisecond of
+// virtual time: the slice boundaries resilienceRun's drive loop stops at.
+// Stepping to the same absolute boundaries (not RunFor offsets from a fork
+// point) makes the forked run fire exactly the post-completion events the
+// cold run fires before its loop notices the result.
+func runToNextMillisecond(eng *sim.Engine) {
+	eng.RunUntil((eng.Now()/sim.Millisecond + 1) * sim.Millisecond)
+}
+
+// forkedResilienceRecord runs one resilience point with a mid-run rewind
+// at `prefix` of virtual time, mirroring resilienceRun's driving loop and
+// record assembly exactly. The scenario's Active handle is a capture root,
+// so the rewind also restores every injector's state.
 func forkedResilienceRecord(t *testing.T, s sweep.Spec, prefix sim.Time) sweep.Record {
 	t.Helper()
 	pt, err := collPoint(s, newRegistry())
@@ -53,12 +64,12 @@ func forkedResilienceRecord(t *testing.T, s sweep.Spec, prefix sim.Time) sweep.R
 	if res != nil {
 		t.Fatalf("prefix %v ran past completion; pick an earlier fork point", prefix)
 	}
-	fork := captureFork(eng, pt.f, pt.cl, pt.alg, pt.reg, pt.sampler)
+	fork := captureFork(eng, pt.f, pt.cl, pt.alg, pt.reg, pt.sampler, act)
 
 	// Original timeline to completion: recycles the recorded events and
 	// mutates every model object past the fork point.
 	for res == nil && eng.Now() < resilienceHorizon && eng.Executed < resilienceEventBudget {
-		eng.RunFor(sim.Millisecond)
+		runToNextMillisecond(eng)
 	}
 	if res == nil {
 		t.Fatalf("%s did not complete", s.Algorithm)
@@ -71,7 +82,7 @@ func forkedResilienceRecord(t *testing.T, s sweep.Spec, prefix sim.Time) sweep.R
 	}
 	res = nil
 	for res == nil && eng.Now() < resilienceHorizon && eng.Executed < resilienceEventBudget {
-		eng.RunFor(sim.Millisecond)
+		runToNextMillisecond(eng)
 	}
 	if res == nil {
 		t.Fatalf("%s did not complete after rewind", s.Algorithm)
@@ -118,18 +129,37 @@ func metricsDoc(recs []sweep.Record) []byte {
 
 // TestMidRunForkByteIdentical forks after two different prefixes and
 // requires the replayed continuation's Record to match a straight cold run
-// byte for byte.
+// byte for byte: on the quiet fabric at 4 KiB, and under every scenario
+// preset at 64 KiB, forking a quarter and three quarters of the way
+// through each preset's cold run — while flaps are down, tenant flows
+// and incast bursts are in flight, and stragglers are mid-rejitter.
 func TestMidRunForkByteIdentical(t *testing.T) {
-	s := sweep.Spec{Algorithm: "mcast-allgather", Scenario: "quiet",
+	quiet := sweep.Spec{Algorithm: "mcast-allgather", Scenario: "quiet",
 		Nodes: 16, MsgBytes: 4096, Seed: 7}
-	cold, err := ResilienceKernel(s)
+	cold, err := ResilienceKernel(quiet)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
 	// The quiet point lasts ~35µs of virtual time; fork early and late.
 	for _, prefix := range []sim.Time{5 * sim.Microsecond, 20 * sim.Microsecond} {
-		forked := forkedResilienceRecord(t, s, prefix)
+		forked := forkedResilienceRecord(t, quiet, prefix)
 		diffWarmCold(t, "mid-run fork", []sweep.Record{cold}, []sweep.Record{forked})
+	}
+	for _, name := range scenario.Names() {
+		t.Run(name, func(t *testing.T) {
+			s := sweep.Spec{Algorithm: "mcast-allgather", Scenario: name,
+				Nodes: 16, MsgBytes: 64 << 10, Seed: 7}
+			cold, err := ResilienceKernel(s)
+			if err != nil {
+				t.Fatalf("cold: %v", err)
+			}
+			dur := cold.Result.Duration()
+			for _, prefix := range []sim.Time{dur / 4, 3 * dur / 4} {
+				forked := forkedResilienceRecord(t, s, prefix)
+				diffWarmCold(t, fmt.Sprintf("mid-run fork at %v", prefix),
+					[]sweep.Record{cold}, []sweep.Record{forked})
+			}
+		})
 	}
 }
 

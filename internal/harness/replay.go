@@ -45,8 +45,8 @@ type waypoint struct {
 
 // Replay runs one quiet collective point under the replay debugger,
 // writing the waypoint table, the seek trace and the stepped events to w.
-// Replay rejects perturbation scenarios: scenario injectors hold closure
-// state the snapshot layer cannot rewind.
+// Replay installs no scenario injectors, so it rejects perturbation
+// scenarios rather than silently replaying them as quiet.
 func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 	if s.Scenario != "" && s.Scenario != scenario.Quiet {
 		return fmt.Errorf("harness: replay supports only the quiet scenario, not %q", s.Scenario)
@@ -141,10 +141,6 @@ func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 	// Step mode: print the next Steps events as they fire.
 	printed := 0
 	eng.EventHook = func(at sim.Time, seq uint64, h sim.Handler) {
-		if h == nil {
-			fmt.Fprintf(w, "%12d ns  seq=%-20d closure\n", at, seq)
-			return
-		}
 		fmt.Fprintf(w, "%12d ns  seq=%-20d %T\n", at, seq, h)
 	}
 	for printed < cfg.Steps && eng.Step() {

@@ -34,9 +34,8 @@ type Plan struct {
 	// separate from the sweep, so records stay byte-identical.
 	Trace func() (*telemetry.Registry, error)
 	// ReplaySpec names the point `repro replay` seeks and steps through: a
-	// quiet collective cell of the plan (the replay debugger rewinds model
-	// state, which scenario injectors' closures opt out of). Nil when the
-	// kind has no replayable point.
+	// quiet collective cell of the plan (the replay debugger installs no
+	// scenario injectors). Nil when the kind has no replayable point.
 	ReplaySpec *sweep.Spec
 }
 
@@ -232,8 +231,9 @@ func (p *Plan) compileChaos() error {
 		// whenever the manifest names one.
 		return harness.ChaosTrace(specs[len(specs)-1])
 	}
-	// The first point is the quiet anchor (expandScenarios prepends it),
-	// the only scenario the replay debugger supports.
+	// The first point is the quiet anchor (expandScenarios prepends it):
+	// the replay debugger installs no injectors, so it replays only quiet
+	// points.
 	p.ReplaySpec = &specs[0]
 	return nil
 }

@@ -113,6 +113,13 @@ func HostLinks(k int) Selector {
 
 // --- injectors --------------------------------------------------------------------
 
+// Event kinds for runners with more than one: the perturbation and the
+// restoration that undoes it.
+const (
+	evApply uint64 = iota
+	evRestore
+)
+
 // LinkDegrade scales the selected channels' bandwidth and adds latency at
 // Start, restoring them after Duration (0 means for the rest of the run) —
 // the slow-drift failure mode of a marginal cable or SerDes.
@@ -125,38 +132,52 @@ type LinkDegrade struct {
 }
 
 // Install arms the degradation.
-func (d LinkDegrade) Install(ctx *Context) {
+func (d LinkDegrade) Install(ctx *Context) Runner {
 	chans := d.Select(ctx)
 	if len(chans) == 0 {
+		return nil
+	}
+	r := &degrade{LinkDegrade: d, ctx: ctx, chans: chans}
+	r.next = ctx.Eng.AfterHandler(d.Start, r, evApply, 0, nil)
+	return r
+}
+
+// degrade is LinkDegrade's runner.
+type degrade struct {
+	LinkDegrade
+	ctx   *Context
+	chans []fabric.ChannelID
+	next  sim.Handle // the pending onset or restoration
+}
+
+// set puts scale and extra on the channels, touching only what the
+// injector degrades: a restore through ClearOverrides would also wipe a
+// drop override a composed injector owns.
+func (d *degrade) set(scale float64, extra sim.Time) {
+	for _, id := range d.chans {
+		if d.Scale > 0 {
+			d.ctx.F.SetBandwidthScale(id, scale)
+		}
+		if d.ExtraLatency > 0 {
+			d.ctx.F.SetExtraLatency(id, extra)
+		}
+	}
+}
+
+func (d *degrade) OnEvent(e *sim.Engine, _ sim.Handle, kind uint64, _ int, _ any) {
+	if kind == evRestore {
+		d.set(1, 0)
+		d.ctx.Restored()
 		return
 	}
-	ctx.After(d.Start, func() {
-		for _, id := range chans {
-			if d.Scale > 0 {
-				ctx.F.SetBandwidthScale(id, d.Scale)
-			}
-			if d.ExtraLatency > 0 {
-				ctx.F.SetExtraLatency(id, d.ExtraLatency)
-			}
-		}
-		ctx.Perturbed()
-		if d.Duration > 0 {
-			ctx.After(d.Duration, func() {
-				// Undo only what this injector applied: ClearOverrides
-				// would also wipe a drop override a composed injector owns.
-				for _, id := range chans {
-					if d.Scale > 0 {
-						ctx.F.SetBandwidthScale(id, 1)
-					}
-					if d.ExtraLatency > 0 {
-						ctx.F.SetExtraLatency(id, 0)
-					}
-				}
-				ctx.Restored()
-			})
-		}
-	})
+	d.set(d.Scale, d.ExtraLatency)
+	d.ctx.Perturbed()
+	if d.Duration > 0 {
+		d.next = e.AfterHandler(d.Duration, d, evRestore, 0, nil)
+	}
 }
+
+func (d *degrade) Stop() { d.next.Cancel() }
 
 // LinkFlap takes the selected channels down — every traversal drops, as
 // when a port is re-training — for Down out of every Period, starting at
@@ -170,36 +191,12 @@ type LinkFlap struct {
 }
 
 // Install arms the flap cycle.
-func (lf LinkFlap) Install(ctx *Context) {
+func (lf LinkFlap) Install(ctx *Context) Runner {
 	chans := lf.Select(ctx)
 	if len(chans) == 0 || lf.Period <= 0 || lf.Down <= 0 || lf.Down >= lf.Period {
-		return
+		return nil
 	}
-	jitter := func() sim.Time {
-		if lf.Jitter <= 0 {
-			return 0
-		}
-		return sim.Time(ctx.RNG.Intn(int(lf.Jitter)))
-	}
-	var onset func()
-	onset = func() {
-		// Snapshot what each channel had so the restore puts it back — a
-		// composed hotspot's override must survive the flap cycle.
-		prev := make([]float64, len(chans))
-		for i, id := range chans {
-			prev[i] = ctx.F.DropRateOverride(id)
-			ctx.F.SetDropRate(id, 1)
-		}
-		ctx.Perturbed()
-		ctx.After(lf.Down, func() {
-			for i, id := range chans {
-				ctx.F.SetDropRate(id, prev[i])
-			}
-			ctx.Restored()
-		})
-		ctx.After(lf.Period+jitter(), onset)
-	}
-	ctx.After(lf.Start+jitter(), onset)
+	return newDropper(ctx, chans, 1, lf.Start, lf.Down, lf.Period, lf.Jitter)
 }
 
 // DropHotspot replaces the drop rate on the selected channels at Start,
@@ -213,27 +210,70 @@ type DropHotspot struct {
 }
 
 // Install arms the hotspot.
-func (h DropHotspot) Install(ctx *Context) {
+func (h DropHotspot) Install(ctx *Context) Runner {
 	chans := h.Select(ctx)
 	if len(chans) == 0 || h.Rate <= 0 {
+		return nil
+	}
+	return newDropper(ctx, chans, h.Rate, h.Start, h.Duration, 0, 0)
+}
+
+// dropper is the runner of LinkFlap (rate 1, periodic) and DropHotspot
+// (one onset): it overrides the channels' drop rate for down (0 = for the
+// rest of the run) and then puts back what it displaced, so a composed
+// injector's override survives. Each onset after the first follows the
+// previous one by period plus [0, jitter) noise. An outage always ends
+// before the next onset (down < period), so one prev slice serves every
+// cycle.
+type dropper struct {
+	ctx                  *Context
+	chans                []fabric.ChannelID
+	rate                 float64
+	down, period, jitter sim.Time
+	prev                 []float64  // the drop rates the current outage displaced
+	onset, up            sim.Handle // the next onset; the current outage's end
+}
+
+func newDropper(ctx *Context, chans []fabric.ChannelID, rate float64, start, down, period, jitter sim.Time) *dropper {
+	r := &dropper{ctx: ctx, chans: chans, rate: rate, down: down, period: period, jitter: jitter,
+		prev: make([]float64, len(chans))}
+	r.onset = ctx.Eng.AfterHandler(start+r.noise(), r, evApply, 0, nil)
+	return r
+}
+
+// noise draws an onset's jitter; with none configured it draws nothing.
+func (r *dropper) noise() sim.Time {
+	if r.jitter <= 0 {
+		return 0
+	}
+	return sim.Time(r.ctx.RNG.Intn(int(r.jitter)))
+}
+
+func (r *dropper) OnEvent(e *sim.Engine, _ sim.Handle, kind uint64, _ int, _ any) {
+	f := r.ctx.F
+	if kind == evRestore {
+		for i, id := range r.chans {
+			f.SetDropRate(id, r.prev[i])
+		}
+		r.ctx.Restored()
 		return
 	}
-	ctx.After(h.Start, func() {
-		prev := make([]float64, len(chans))
-		for i, id := range chans {
-			prev[i] = ctx.F.DropRateOverride(id)
-			ctx.F.SetDropRate(id, h.Rate)
-		}
-		ctx.Perturbed()
-		if h.Duration > 0 {
-			ctx.After(h.Duration, func() {
-				for i, id := range chans {
-					ctx.F.SetDropRate(id, prev[i])
-				}
-				ctx.Restored()
-			})
-		}
-	})
+	for i, id := range r.chans {
+		r.prev[i] = f.DropRateOverride(id)
+		f.SetDropRate(id, r.rate)
+	}
+	r.ctx.Perturbed()
+	if r.down > 0 {
+		r.up = e.AfterHandler(r.down, r, evRestore, 0, nil)
+	}
+	if r.period > 0 {
+		r.onset = e.AfterHandler(r.period+r.noise(), r, evApply, 0, nil)
+	}
+}
+
+func (r *dropper) Stop() {
+	r.onset.Cancel()
+	r.up.Cancel()
 }
 
 // Straggler slows a random subset of hosts: their NIC links lose bandwidth
@@ -250,11 +290,11 @@ type Straggler struct {
 	Rejitter     sim.Time
 }
 
-// Install picks the stragglers and arms the jitter loop.
-func (s Straggler) Install(ctx *Context) {
+// Install picks the stragglers, slows them, and arms the jitter loop.
+func (s Straggler) Install(ctx *Context) Runner {
 	hosts := ctx.Hosts()
 	if len(hosts) == 0 {
-		return
+		return nil
 	}
 	k := s.Hosts
 	if k <= 0 {
@@ -274,19 +314,31 @@ func (s Straggler) Install(ctx *Context) {
 	}
 	ctx.Perturbed()
 	if s.Rejitter <= 0 || s.ExtraLatency <= 0 {
-		return
+		return nil
 	}
-	var tick func()
-	tick = func() {
-		d := sim.Time(ctx.RNG.Intn(int(s.ExtraLatency)))
-		for _, id := range chans {
-			ctx.F.SetExtraLatency(id, d)
-		}
-		ctx.Perturbed()
-		ctx.After(s.Rejitter, tick)
-	}
-	ctx.After(s.Rejitter, tick)
+	r := &rejitter{Straggler: s, ctx: ctx, chans: chans}
+	r.next = ctx.Eng.AfterHandler(s.Rejitter, r, 0, 0, nil)
+	return r
 }
+
+// rejitter is Straggler's runner: the latency re-roll loop.
+type rejitter struct {
+	Straggler
+	ctx   *Context
+	chans []fabric.ChannelID
+	next  sim.Handle
+}
+
+func (s *rejitter) OnEvent(e *sim.Engine, _ sim.Handle, _ uint64, _ int, _ any) {
+	d := sim.Time(s.ctx.RNG.Intn(int(s.ExtraLatency)))
+	for _, id := range s.chans {
+		s.ctx.F.SetExtraLatency(id, d)
+	}
+	s.ctx.Perturbed()
+	s.next = e.AfterHandler(s.Rejitter, s, 0, 0, nil)
+}
+
+func (s *rejitter) Stop() { s.next.Cancel() }
 
 // BackgroundTraffic is the multi-tenant neighbor: persistent unicast flows
 // between random host pairs, each injecting packets at Load times the host
@@ -310,10 +362,10 @@ type BackgroundTraffic struct {
 const DefaultBackoff = 50 * sim.Microsecond
 
 // Install launches the flows with deterministically staggered phases.
-func (b BackgroundTraffic) Install(ctx *Context) {
+func (b BackgroundTraffic) Install(ctx *Context) Runner {
 	hosts := ctx.Hosts()
 	if len(hosts) < 2 || b.Load <= 0 {
-		return
+		return nil
 	}
 	size := b.PacketBytes
 	if size <= 0 || size > ctx.F.MaxPayload() {
@@ -333,36 +385,62 @@ func (b BackgroundTraffic) Install(ctx *Context) {
 	if nflows <= 0 {
 		nflows = len(hosts)
 	}
+	r := &tenants{ctx: ctx, size: size, interval: interval, backoff: backoff,
+		flows: make([]tenantFlow, nflows)}
 	perm := ctx.RNG.Perm(len(hosts))
-	for i := 0; i < nflows; i++ {
-		src := hosts[i%len(hosts)]
-		dst := hosts[perm[i%len(hosts)]]
-		if dst == src {
-			dst = hosts[(i+1)%len(hosts)]
+	for i := range r.flows {
+		fl := &r.flows[i]
+		fl.src = hosts[i%len(hosts)]
+		fl.dst = hosts[perm[i%len(hosts)]]
+		if fl.dst == fl.src {
+			fl.dst = hosts[(i+1)%len(hosts)]
 		}
 		// The flow's congestion signal is the worst queue anywhere on its
 		// (ECMP-pinned) path — the scenario-level stand-in for ECN marks.
-		flow := uint64(i)
-		path := ctx.F.UnicastPath(src, dst, flow)
-		var send func()
-		send = func() {
-			congested := false
-			if backoff >= 0 {
-				for _, id := range path {
-					if ctx.F.ChannelBacklog(id) >= backoff {
-						congested = true
-						break
-					}
-				}
-			}
-			if !congested {
-				ctx.F.InjectBackground(src, dst, size, flow)
-			}
-			ctx.After(interval, send)
-		}
-		ctx.After(b.Start+sim.Time(ctx.RNG.Intn(int(interval))), send)
+		fl.path = ctx.F.UnicastPath(fl.src, fl.dst, uint64(i))
+		fl.next = ctx.Eng.AfterHandler(b.Start+sim.Time(ctx.RNG.Intn(int(interval))), r, uint64(i), 0, nil)
 	}
 	ctx.Perturbed()
+	return r
+}
+
+// tenants is BackgroundTraffic's runner; each event's arg is the index of
+// the flow due to send, which is also the flow's ECMP key.
+type tenants struct {
+	ctx               *Context
+	size              int
+	interval, backoff sim.Time
+	flows             []tenantFlow
+}
+
+// tenantFlow is one persistent background flow.
+type tenantFlow struct {
+	src, dst topology.NodeID
+	path     []fabric.ChannelID
+	next     sim.Handle
+}
+
+func (t *tenants) OnEvent(e *sim.Engine, _ sim.Handle, i uint64, _ int, _ any) {
+	fl := &t.flows[i]
+	congested := false
+	if t.backoff >= 0 {
+		for _, id := range fl.path {
+			if t.ctx.F.ChannelBacklog(id) >= t.backoff {
+				congested = true
+				break
+			}
+		}
+	}
+	if !congested {
+		t.ctx.F.InjectBackground(fl.src, fl.dst, t.size, i)
+	}
+	fl.next = e.AfterHandler(t.interval, t, i, 0, nil)
+}
+
+func (t *tenants) Stop() {
+	for i := range t.flows {
+		t.flows[i].next.Cancel()
+	}
 }
 
 // Incast fires periodic many-to-one bursts: every Period, Fanin random
@@ -377,32 +455,38 @@ type Incast struct {
 }
 
 // Install arms the burst cycle.
-func (inc Incast) Install(ctx *Context) {
+func (inc Incast) Install(ctx *Context) Runner {
 	hosts := ctx.Hosts()
 	if inc.Fanin < 1 || inc.BurstBytes <= 0 || inc.Period <= 0 || len(hosts) < 2 {
-		return
+		return nil
 	}
-	fanin := inc.Fanin
-	if fanin > len(hosts)-1 {
-		fanin = len(hosts) - 1
-	}
-	mtu := ctx.F.MaxPayload()
-	var burst func()
-	burst = func() {
-		perm := ctx.RNG.Perm(len(hosts))
-		victim := hosts[perm[0]]
-		for s := 0; s < fanin; s++ {
-			src := hosts[perm[1+s]]
-			for sent := 0; sent < inc.BurstBytes; sent += mtu {
-				n := inc.BurstBytes - sent
-				if n > mtu {
-					n = mtu
-				}
-				ctx.F.InjectBackground(src, victim, n, uint64(s))
-			}
-		}
-		ctx.Perturbed()
-		ctx.After(inc.Period, burst)
-	}
-	ctx.After(inc.Start, burst)
+	r := &bursts{Incast: inc, ctx: ctx}
+	r.Fanin = min(inc.Fanin, len(hosts)-1)
+	r.next = ctx.Eng.AfterHandler(inc.Start, r, 0, 0, nil)
+	return r
 }
+
+// bursts is Incast's runner; its Fanin is capped to the scope's size.
+type bursts struct {
+	Incast
+	ctx  *Context
+	next sim.Handle
+}
+
+func (inc *bursts) OnEvent(e *sim.Engine, _ sim.Handle, _ uint64, _ int, _ any) {
+	f := inc.ctx.F
+	hosts := inc.ctx.Hosts()
+	mtu := f.MaxPayload()
+	perm := inc.ctx.RNG.Perm(len(hosts))
+	victim := hosts[perm[0]]
+	for s := 0; s < inc.Fanin; s++ {
+		src := hosts[perm[1+s]]
+		for sent := 0; sent < inc.BurstBytes; sent += mtu {
+			f.InjectBackground(src, victim, min(inc.BurstBytes-sent, mtu), uint64(s))
+		}
+	}
+	inc.ctx.Perturbed()
+	inc.next = e.AfterHandler(inc.Period, inc, 0, 0, nil)
+}
+
+func (inc *bursts) Stop() { inc.next.Cancel() }

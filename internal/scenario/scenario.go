@@ -30,10 +30,25 @@ import (
 )
 
 // Injector is one composable perturbation source. Install is called once,
-// at installation (virtual) time; implementations schedule their events
-// through ctx.After and draw all randomness from ctx.RNG.
+// at installation (virtual) time: it makes the injector's selections,
+// drawing all randomness from ctx.RNG, applies any immediate perturbation,
+// and returns the Runner that carries the injector's events from then on
+// (nil when it schedules none).
 type Injector interface {
-	Install(ctx *Context)
+	Install(ctx *Context) Runner
+}
+
+// Runner is an installed injector's runtime state: the sim.Handler its
+// events fire (scheduled on ctx.Eng with AfterHandler), holding in plain
+// fields everything those events use — its Context (and with it the
+// injector's RNG stream), its channels, saved drop rates, flow paths and
+// the Handles of its pending events. The Active keeps every Runner, so a
+// model-state capture (internal/snap) rooted at the Active rewinds the
+// injectors mid-run along with the fabric they perturb.
+type Runner interface {
+	sim.Handler
+	// Stop cancels the runner's pending events through their Handles.
+	Stop()
 }
 
 // Scenario is a named bundle of injectors, armed together on one fabric.
@@ -44,6 +59,7 @@ type Scenario struct {
 
 // Context is the environment an injector runs in: the fabric it perturbs,
 // the engine it schedules on, and its private deterministic RNG stream.
+// Its runner keeps it for the whole run.
 type Context struct {
 	Eng *sim.Engine
 	F   *fabric.Fabric
@@ -66,21 +82,6 @@ func (c *Context) Hosts() []topology.NodeID {
 	return c.F.Graph().Hosts()
 }
 
-// After schedules fn d nanoseconds from now. The event is tracked by the
-// Active handle: once Stop is called, pending events are cancelled and new
-// ones are not scheduled, so the engine can run dry after the workload
-// completes even for injectors that re-arm forever. Scheduling goes through
-// the engine's pooled handler path — per-packet injectors (the tenant
-// flows) re-arm without allocating an event or a wrapper closure, since fn
-// itself is a long-lived closure built once per flow.
-func (c *Context) After(d sim.Time, fn func()) {
-	if c.act.stopped {
-		return
-	}
-	h := c.Eng.AfterHandler(d, c.act, 0, 0, fn)
-	c.act.pending[h] = struct{}{}
-}
-
 // Perturbed counts one perturbation application (a flap onset, a
 // degradation, a re-jitter, a burst) on the Active handle's stats.
 func (c *Context) Perturbed() { c.act.stats.Perturbs++ }
@@ -99,40 +100,26 @@ type Stats struct {
 	BackgroundBytes   uint64
 }
 
-// Active is the handle to an installed scenario.
+// Active is the handle to an installed scenario. It holds every injector's
+// Runner, so capturing the Active captures all injector state.
 type Active struct {
 	f       *fabric.Fabric
-	stopped bool
-	pending map[sim.Handle]struct{}
+	runners []Runner
 	stats   Stats
 }
 
-// OnEvent fires one tracked injector event: ev keys the pending set (the
-// engine hands back exactly the Handle AfterHandler returned), obj is the
-// injector's callback.
-func (a *Active) OnEvent(_ *sim.Engine, ev sim.Handle, _ uint64, _ int, obj any) {
-	delete(a.pending, ev)
-	if a.stopped {
-		return
-	}
-	obj.(func())()
-}
-
-// Stop cancels every pending perturbation event and prevents re-arming, so
-// the engine drains once the measured workload is done. Overrides applied
-// to the fabric are left in place (the simulation is over); use a fresh
-// fabric per measurement, as every kernel in this repository does.
-// Cancellation is generation-checked, so a handle whose event has already
-// fired (and been recycled by the engine's pool) is skipped, not corrupted.
+// Stop cancels every pending perturbation event. Runners re-arm only from
+// their own events, so nothing re-arms afterwards and the engine drains
+// once the measured workload is done, even for injectors that would
+// re-arm forever. Overrides applied to the fabric are left in place (the
+// simulation is over); use a fresh fabric per measurement, as every kernel
+// in this repository does. Cancellation is generation-checked, so a handle
+// whose event has already fired (and been recycled by the engine's pool)
+// is skipped, not corrupted — which also makes a second Stop a no-op.
 func (a *Active) Stop() {
-	if a.stopped {
-		return
+	for _, r := range a.runners {
+		r.Stop()
 	}
-	a.stopped = true
-	for h := range a.pending {
-		h.Cancel()
-	}
-	a.pending = nil
 }
 
 // Stats returns the perturbation counters and the fabric's background
@@ -159,10 +146,12 @@ func (sc Scenario) Install(f *fabric.Fabric, seed uint64) *Active {
 // every host. Use it when the measured workload runs on a subset of a
 // larger topology, or the perturbations mostly land on idle hardware.
 func (sc Scenario) InstallOn(f *fabric.Fabric, hosts []topology.NodeID, seed uint64) *Active {
-	act := &Active{f: f, pending: make(map[sim.Handle]struct{})}
+	act := &Active{f: f}
 	for i, inj := range sc.Injectors {
 		rng := sim.NewRNG(sim.Splitmix64(seed ^ sim.Splitmix64(uint64(i)+0x5ce7a110)))
-		inj.Install(&Context{Eng: f.Engine(), F: f, RNG: rng, hosts: hosts, act: act})
+		if r := inj.Install(&Context{Eng: f.Engine(), F: f, RNG: rng, hosts: hosts, act: act}); r != nil {
+			act.runners = append(act.runners, r)
+		}
 	}
 	return act
 }

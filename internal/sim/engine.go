@@ -27,17 +27,17 @@
 // heap over randomized schedules (hybrid_test.go) and fuzzer-chosen ones
 // (FuzzHybridMatchesReferenceHeap in fuzz_test.go).
 //
-// # Closure-free scheduling
+// # Handlers
 //
-// At/After take a func() and allocate one Event plus (at most call sites)
-// one capturing closure per event. The hot paths — every packet hop, every
-// signaled send, every per-round collective timer — instead use AtHandler/
-// AfterHandler: a typed Handler interface plus packed arguments (a uint64,
-// an int, and one pointer-shaped payload), no closure. Handler events are
-// recycled through a free list once fired or cancelled, so steady-state
-// hot-path scheduling does not allocate at all. Cancellation of handler
-// events goes through the value-type Handle, which carries a generation
-// number so a stale handle held across the event's recycling is a no-op.
+// There is one way to schedule an event: AtHandler/AfterHandler, a typed
+// Handler interface plus packed arguments (a uint64, an int, and one
+// pointer-shaped payload). An event holds no closure, so everything a
+// pending event will act on is a field of its handler or its payload —
+// state a model-graph capture (internal/snap) can see and rewind. Events
+// are recycled through a free list once fired or cancelled, so
+// steady-state scheduling does not allocate at all. Cancellation goes
+// through the value-type Handle, which carries a generation number so a
+// stale handle held across the event's recycling is a no-op.
 package sim
 
 import (
@@ -93,58 +93,47 @@ const (
 	locFar                // in the far-future binary heap
 )
 
-// Handler is the closure-free event callback: one OnEvent call per fired
-// event, with the arguments packed at scheduling time. ev identifies the
-// firing event (it equals the Handle returned by AtHandler, letting a
-// handler that tracks its pending events find the entry without a wrapper
-// closure); obj carries one pointer-shaped payload (a *Packet, a *QP — a
-// pointer, so boxing it does not allocate) and may be nil.
+// Handler is the event callback: one OnEvent call per fired event, with
+// the arguments packed at scheduling time. ev identifies the firing event
+// (it equals the Handle returned by AtHandler); obj carries one
+// pointer-shaped payload (a *Packet, a *QP — a pointer, so boxing it does
+// not allocate) and may be nil.
 //
-// Handler events are pooled: the engine recycles the Event before OnEvent
-// runs, so implementations must not retain ev past the call.
+// Events are pooled: the engine recycles the Event before OnEvent runs, so
+// ev is already stale inside the call.
 type Handler interface {
 	OnEvent(e *Engine, ev Handle, arg0 uint64, arg1 int, obj any)
 }
 
-// Event is a scheduled callback. Events are ordered by time; ties are broken
-// by insertion sequence so the execution order of simultaneous events is
-// deterministic and FIFO with respect to scheduling order.
+// Event is a scheduled handler call. Events are ordered by time; ties are
+// broken by insertion sequence so the execution order of simultaneous
+// events is deterministic and FIFO with respect to scheduling order. Only
+// the engine holds *Event pointers; callers hold Handles.
 type Event struct {
-	at    Time
-	seq   uint64
-	gen   uint64 // bumped each time a pooled event is recycled
-	index int    // heap index while in far/cur heaps; -1 otherwise
-	where int8
-	// pooled marks events born on the handler path: no *Event pointer ever
-	// escapes for them, so they are safe to recycle. Closure events hand
-	// their pointer to the caller (for Cancel/Canceled/Fired) and are never
-	// reused.
-	pooled   bool
+	at       Time
+	seq      uint64
+	gen      uint64 // bumped each time the event is recycled
+	index    int    // heap index while in far/cur heaps; -1 otherwise
+	where    int8
 	canceled bool
-	fired    bool
 	eng      *Engine
-	fn       func()
 	h        Handler
 	arg0     uint64
 	arg1     int
 	obj      any
 }
 
-// Time returns the virtual time at which the event fires.
-func (e *Event) Time() Time { return e.at }
-
-// Cancel prevents a pending event from firing. The event leaves the live
-// count immediately and its callback is released at once (so a cancelled
-// long-lived timer does not pin its closure); far-future events are also
+// cancel prevents a pending event from firing. The event leaves the live
+// count immediately and its handler and payload are released at once (so a
+// cancelled long-lived timer does not pin them); far-future events are also
 // removed from the heap immediately, while near-future bucket entries are
 // reclaimed when the clock reaches their bucket. Cancelling an event that
-// has already fired (or was already cancelled) is a no-op.
-func (e *Event) Cancel() {
-	if e == nil || e.canceled || e.fired || e.where == locNone {
+// is not queued (or was already cancelled) is a no-op.
+func (e *Event) cancel() {
+	if e.canceled || e.where == locNone {
 		return
 	}
 	e.canceled = true
-	e.fn = nil
 	e.h = nil
 	e.obj = nil
 	eng := e.eng
@@ -164,17 +153,11 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// Fired reports whether the event's callback has run.
-func (e *Event) Fired() bool { return e.fired }
-
-// Handle is a value-type reference to a scheduled handler event. The zero
-// Handle is inert. Because handler events are recycled, the handle carries
-// the generation it was issued under: cancelling a handle whose event has
-// since fired and been reused is a safe no-op, which is exactly the
-// semantics a retransmission timer racing its own ack needs.
+// Handle is a value-type reference to a scheduled event. The zero Handle
+// is inert. Because events are recycled, the handle carries the generation
+// it was issued under: cancelling a handle whose event has since fired and
+// been reused is a safe no-op, which is exactly the semantics a
+// retransmission timer racing its own ack needs.
 type Handle struct {
 	ev  *Event
 	gen uint64
@@ -184,13 +167,13 @@ type Handle struct {
 // and still pending; otherwise it does nothing.
 func (h Handle) Cancel() {
 	if h.ev != nil && h.ev.gen == h.gen {
-		h.ev.Cancel()
+		h.ev.cancel()
 	}
 }
 
 // Active reports whether the referenced event is still pending.
 func (h Handle) Active() bool {
-	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled && !h.ev.fired
+	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled
 }
 
 // Time returns the firing time of the referenced event, or -1 if the handle
@@ -302,7 +285,7 @@ type Engine struct {
 
 	live int // scheduled, not yet fired, not cancelled
 
-	free []*Event // recycled handler events
+	free []*Event // recycled events
 
 	// openBucket's counting-sort scratch, kept so that opening a bucket
 	// does not allocate in steady state.
@@ -314,8 +297,8 @@ type Engine struct {
 	//
 	// Executed counts events that have fired, for diagnostics and for
 	// guarding against runaway simulations in tests. Scheduled counts every
-	// At/After/AtHandler/AfterHandler call. Recycled counts handler events
-	// served from the free list instead of the heap allocator.
+	// AtHandler/AfterHandler call. Recycled counts events served from the
+	// free list instead of the heap allocator.
 	Executed  uint64
 	Scheduled uint64
 	Recycled  uint64
@@ -327,9 +310,9 @@ type Engine struct {
 	splits []*RNG
 
 	// EventHook, when non-nil, observes every fired event just before its
-	// callback runs: the firing time, its sequence key and the handler (nil
-	// for closure events). It exists for the replay debugger's step mode;
-	// the nil check is the only cost on the hot path.
+	// handler runs: the firing time, its sequence key and the handler. It
+	// exists for the replay debugger's step mode; the nil check is the only
+	// cost on the hot path.
 	EventHook func(at Time, seq uint64, h Handler)
 }
 
@@ -370,36 +353,11 @@ func (e *Engine) Reseed(seed uint64) {
 	}
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: that is always a protocol-logic bug, and silently clamping would
-// mask it.
-//
-// The returned *Event stays valid for Cancel/Canceled/Fired indefinitely
-// (closure events are never recycled); hot paths that do not need to hold
-// the event should prefer AtHandler, which pools.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	ev := &Event{at: t, seq: e.seq, eng: e, fn: fn, index: -1}
-	e.seq++
-	e.schedule(ev)
-	return ev
-}
-
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
-}
-
 // AtHandler schedules h.OnEvent(e, handle, arg0, arg1, obj) at absolute
 // virtual time t. The event is drawn from the engine's free list and
-// recycled after firing or cancellation, and no closure is involved: the
-// closure-free hot path. obj must be pointer-shaped (or nil) to stay
-// allocation-free.
+// recycled after firing or cancellation. obj must be pointer-shaped (or
+// nil) to stay allocation-free. Scheduling in the past panics: that is
+// always a protocol-logic bug, and silently clamping would mask it.
 func (e *Engine) AtHandler(t Time, h Handler, arg0 uint64, arg1 int, obj any) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -424,7 +382,7 @@ func (e *Engine) AfterHandler(d Time, h Handler, arg0 uint64, arg1 int, obj any)
 	return e.AtHandler(e.now+d, h, arg0, arg1, obj)
 }
 
-// get pops a recycled event or allocates a fresh pooled one.
+// get pops a recycled event or allocates a fresh one.
 func (e *Engine) get() *Event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -433,24 +391,17 @@ func (e *Engine) get() *Event {
 		e.Recycled++
 		return ev
 	}
-	return &Event{eng: e, pooled: true, index: -1}
+	return &Event{eng: e, index: -1}
 }
 
-// release returns a pooled event to the free list, bumping its generation
-// so outstanding Handles go stale. Closure events only drop their callback:
-// their *Event may still be held by the caller, so flags (and the pointer
-// identity) must survive.
+// release returns an event to the free list, bumping its generation so
+// outstanding Handles go stale.
 func (e *Engine) release(ev *Event) {
-	if !ev.pooled {
-		ev.fn = nil
-		return
-	}
 	ev.gen++
-	ev.fn = nil
 	ev.h = nil
 	ev.obj = nil
 	ev.arg0, ev.arg1 = 0, 0
-	ev.canceled, ev.fired = false, false
+	ev.canceled = false
 	ev.where = locNone
 	ev.index = -1
 	e.free = append(e.free, ev)
@@ -571,7 +522,7 @@ func (e *Engine) openBucket() {
 		counts[k]++
 	}
 	copy(b, sorted)
-	clear(sorted) // the scratch must not pin fired closure events
+	clear(sorted) // the scratch must not pin fired events' payloads
 	e.sorted = sorted[:0]
 	e.pos = 0
 	e.opened = true
@@ -678,8 +629,9 @@ func (e *Engine) PoolSize() int { return len(e.free) }
 // completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// step fires the next event. It returns false when the queue is empty.
-func (e *Engine) step() bool {
+// Step fires the next event and reports whether one was pending. Run and
+// RunUntil loop over it; the replay debugger single-steps with it.
+func (e *Engine) Step() bool {
 	ev := e.popEvent()
 	if ev == nil {
 		return false
@@ -690,17 +642,8 @@ func (e *Engine) step() bool {
 	e.now = ev.at
 	e.Executed++
 	e.live--
-	ev.fired = true
 	if e.EventHook != nil {
 		e.EventHook(ev.at, ev.seq, ev.h)
-	}
-	if ev.fn != nil {
-		fn := ev.fn
-		// Release the closure before running it: a caller holding the
-		// *Event for Cancel must not pin the capture past the firing.
-		ev.fn = nil
-		fn()
-		return true
 	}
 	h, a0, a1, obj := ev.h, ev.arg0, ev.arg1, ev.obj
 	hd := Handle{ev: ev, gen: ev.gen}
@@ -711,15 +654,11 @@ func (e *Engine) step() bool {
 	return true
 }
 
-// Step fires exactly one event and reports whether one was pending. It is
-// the replay debugger's single-step primitive.
-func (e *Engine) Step() bool { return e.step() }
-
 // Run executes events until the queue is empty or Stop is called. It returns
 // the final virtual time.
 func (e *Engine) Run() Time {
 	e.stopped = false
-	for !e.stopped && e.step() {
+	for !e.stopped && e.Step() {
 	}
 	return e.now
 }
@@ -735,7 +674,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if next == nil || next.at > deadline {
 			break
 		}
-		e.step()
+		e.Step()
 	}
 	if e.now < deadline {
 		e.now = deadline

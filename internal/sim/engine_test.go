@@ -5,6 +5,18 @@ import (
 	"testing/quick"
 )
 
+// funcHandler runs the func carried as each event's payload, so the tests
+// below can schedule plain callbacks.
+type funcHandler struct{}
+
+func (funcHandler) OnEvent(_ *Engine, _ Handle, _ uint64, _ int, obj any) { obj.(func())() }
+
+// at schedules fn at absolute time t.
+func at(e *Engine, t Time, fn func()) Handle { return e.AtHandler(t, funcHandler{}, 0, 0, fn) }
+
+// after schedules fn d from now.
+func after(e *Engine, d Time, fn func()) Handle { return e.AfterHandler(d, funcHandler{}, 0, 0, fn) }
+
 func TestEngineStartsAtZero(t *testing.T) {
 	e := NewEngine(1)
 	if e.Now() != 0 {
@@ -15,9 +27,9 @@ func TestEngineStartsAtZero(t *testing.T) {
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := NewEngine(1)
 	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
+	at(e, 30, func() { order = append(order, 3) })
+	at(e, 10, func() { order = append(order, 1) })
+	at(e, 20, func() { order = append(order, 2) })
 	e.Run()
 	want := []int{1, 2, 3}
 	for i, v := range want {
@@ -32,7 +44,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(42, func() { order = append(order, i) })
+		at(e, 42, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -44,11 +56,11 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 
 func TestAfterAdvancesClock(t *testing.T) {
 	e := NewEngine(1)
-	var at Time
-	e.After(5*Microsecond, func() { at = e.Now() })
+	var fired Time
+	after(e, 5*Microsecond, func() { fired = e.Now() })
 	e.Run()
-	if at != 5*Microsecond {
-		t.Fatalf("event fired at %v, want 5µs", at)
+	if fired != 5*Microsecond {
+		t.Fatalf("event fired at %v, want 5µs", fired)
 	}
 	if e.Now() != 5*Microsecond {
 		t.Fatalf("final time %v, want 5µs", e.Now())
@@ -58,9 +70,9 @@ func TestAfterAdvancesClock(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine(1)
 	var times []Time
-	e.At(10, func() {
+	at(e, 10, func() {
 		times = append(times, e.Now())
-		e.After(15, func() { times = append(times, e.Now()) })
+		after(e, 15, func() { times = append(times, e.Now()) })
 	})
 	e.Run()
 	if len(times) != 2 || times[0] != 10 || times[1] != 25 {
@@ -71,14 +83,14 @@ func TestNestedScheduling(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	ev := e.At(10, func() { fired = true })
+	ev := at(e, 10, func() { fired = true })
 	ev.Cancel()
 	e.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if ev.Active() {
+		t.Fatal("Active() = true after Cancel")
 	}
 }
 
@@ -86,13 +98,13 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 	e := NewEngine(1)
 	// Interleave keepers and victims so removal has to fix up the heap
 	// interior, not just the root or tail.
-	var victims []*Event
+	var victims []Handle
 	for i := 0; i < 10; i++ {
-		at := Time(10 + 10*i)
+		when := Time(10 + 10*i)
 		if i%2 == 0 {
-			victims = append(victims, e.At(at, func() { t.Errorf("cancelled event at %v fired", at) }))
+			victims = append(victims, at(e, when, func() { t.Errorf("cancelled event at %v fired", when) }))
 		} else {
-			e.At(at, func() {})
+			at(e, when, func() {})
 		}
 	}
 	if got := e.Pending(); got != 10 {
@@ -119,8 +131,8 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 func TestCancelFromEarlierEvent(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	ev := e.At(20, func() { fired = true })
-	e.At(10, func() { ev.Cancel() })
+	ev := at(e, 20, func() { fired = true })
+	at(e, 10, func() { ev.Cancel() })
 	e.Run()
 	if fired {
 		t.Fatal("event cancelled at t=10 still fired at t=20")
@@ -129,13 +141,13 @@ func TestCancelFromEarlierEvent(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.At(10, func() {
+	at(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
+		at(e, 5, func() {})
 	})
 	e.Run()
 }
@@ -143,9 +155,8 @@ func TestSchedulingInPastPanics(t *testing.T) {
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	e := NewEngine(1)
 	var fired []Time
-	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
+	for _, when := range []Time{10, 20, 30, 40} {
+		at(e, when, func() { fired = append(fired, when) })
 	}
 	e.RunUntil(25)
 	if len(fired) != 2 {
@@ -176,8 +187,8 @@ func TestRunUntilAdvancesClockWhenIdle(t *testing.T) {
 func TestStop(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
-	e.At(10, func() { count++; e.Stop() })
-	e.At(20, func() { count++ })
+	at(e, 10, func() { count++; e.Stop() })
+	at(e, 20, func() { count++ })
 	e.Run()
 	if count != 1 {
 		t.Fatalf("Stop did not halt the run: count = %d", count)
@@ -191,7 +202,7 @@ func TestStop(t *testing.T) {
 func TestExecutedCounter(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < 7; i++ {
-		e.At(Time(i), func() {})
+		at(e, Time(i), func() {})
 	}
 	e.Run()
 	if e.Executed != 7 {
@@ -211,7 +222,7 @@ func TestDeterministicReplay(t *testing.T) {
 			}
 			n++
 			d := Time(e.RNG().Intn(1000) + 1)
-			e.After(d, func() {
+			after(e, d, func() {
 				fired = append(fired, e.Now())
 				schedule()
 			})
@@ -250,7 +261,7 @@ func TestPropertyMonotonicFiring(t *testing.T) {
 		e := NewEngine(seed)
 		var fired []Time
 		for _, d := range delays {
-			e.After(Time(d), func() { fired = append(fired, e.Now()) })
+			after(e, Time(d), func() { fired = append(fired, e.Now()) })
 		}
 		e.Run()
 		for i := 1; i < len(fired); i++ {

@@ -24,12 +24,12 @@ type fuzzSched struct {
 	ref     []fuzzRef
 	seq     uint64
 	nextID  int
-	handles map[int]canceler
+	handles map[int]Handle
 
 	snap        *Snapshot
 	snapRef     []fuzzRef
 	snapSeq     uint64
-	snapHandles map[int]canceler
+	snapHandles map[int]Handle
 }
 
 func (z *fuzzSched) OnEvent(_ *Engine, _ Handle, arg0 uint64, _ int, _ any) { z.fire(int(arg0)) }
@@ -57,18 +57,13 @@ func (z *fuzzSched) fire(id int) {
 	delete(z.handles, id)
 }
 
-// schedule files one event d from now, alternating the handler and the
-// closure paths.
+// schedule files one event d from now.
 func (z *fuzzSched) schedule(d Time) {
 	id := z.nextID
 	z.nextID++
 	z.ref = append(z.ref, fuzzRef{at: z.eng.Now() + d, seq: z.seq, id: id})
 	z.seq++
-	if id%2 == 0 {
-		z.handles[id] = z.eng.AfterHandler(d, z, uint64(id), 0, nil)
-	} else {
-		z.handles[id] = z.eng.After(d, func() { z.fire(id) })
-	}
+	z.handles[id] = z.eng.AfterHandler(d, z, uint64(id), 0, nil)
 }
 
 func (z *fuzzSched) cancel(k int) {
@@ -175,7 +170,7 @@ func FuzzHybridMatchesReferenceHeap(f *testing.F) {
 		if len(data) > 2048 {
 			data = data[:2048]
 		}
-		z := &fuzzSched{t: t, eng: NewEngine(1), handles: map[int]canceler{}}
+		z := &fuzzSched{t: t, eng: NewEngine(1), handles: map[int]Handle{}}
 		in := fuzzBytes(data)
 		for len(in) > 0 {
 			switch in.take() % 8 {

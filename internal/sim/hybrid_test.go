@@ -41,10 +41,6 @@ func (q *refQueue) popLive() *refItem {
 	return nil
 }
 
-// canceler abstracts *Event (closure path) and Handle (handler path) so the
-// property test cancels through both APIs.
-type canceler interface{ Cancel() }
-
 // propHarness drives the engine and the reference queue through the same
 // randomized schedule/cancel/re-arm decisions; every firing asserts the two
 // agree on which event is next.
@@ -55,18 +51,15 @@ type propHarness struct {
 	rng     *RNG
 	nextID  int
 	refSeq  uint64
-	live    map[int]canceler // engine-side cancel handles by id
+	live    map[int]Handle // engine-side cancel handles by id
 	refByID map[int]*refItem
 	fired   []int
 	budget  int // schedules remaining
 }
 
-// OnEvent is the handler-path firing: arg0 carries the event id.
+// OnEvent fires one event: arg0 carries its id.
 func (p *propHarness) OnEvent(_ *Engine, _ Handle, arg0 uint64, _ int, _ any) {
-	p.onFire(int(arg0))
-}
-
-func (p *propHarness) onFire(id int) {
+	id := int(arg0)
 	want := p.ref.popLive()
 	if want == nil {
 		p.t.Fatalf("engine fired id %d but reference queue is empty", id)
@@ -149,24 +142,20 @@ func (p *propHarness) schedule(d Time) {
 	p.refSeq++
 	heap.Push(&p.ref, it)
 	p.refByID[id] = it
-	if id%2 == 0 {
-		p.live[id] = p.eng.AfterHandler(d, p, uint64(id), 0, nil)
-	} else {
-		p.live[id] = p.eng.After(d, func() { p.onFire(id) })
-	}
+	p.live[id] = p.eng.AfterHandler(d, p, uint64(id), 0, nil)
 }
 
 // TestHybridMatchesReferenceHeapOrder schedules >10k events through the
-// ladder/heap hybrid — half closure events, half pooled handler events,
-// with random cancellations and re-arms along the way — and checks every
-// single pop against a reference binary heap's (at, seq) order.
+// ladder/heap hybrid — with random cancellations and re-arms along the
+// way — and checks every single pop against a reference binary heap's
+// (at, seq) order.
 func TestHybridMatchesReferenceHeapOrder(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 0xdeadbeef} {
 		p := &propHarness{
 			t:       t,
 			eng:     NewEngine(seed),
 			rng:     NewRNG(seed ^ 0x9E3779B97F4A7C15),
-			live:    map[int]canceler{},
+			live:    map[int]Handle{},
 			refByID: map[int]*refItem{},
 			budget:  12000,
 		}
@@ -193,10 +182,10 @@ func TestHybridMatchesReferenceHeapOrder(t *testing.T) {
 func TestRunUntilThenEarlierSchedule(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
-	e.At(2*Second, func() { order = append(order, "far") })
+	at(e, 2*Second, func() { order = append(order, "far") })
 	e.RunUntil(100) // window may jump toward the 2 s timer
-	e.At(200, func() { order = append(order, "near") })
-	e.At(150, func() { order = append(order, "nearer") })
+	at(e, 200, func() { order = append(order, "near") })
+	at(e, 150, func() { order = append(order, "nearer") })
 	e.Run()
 	if len(order) != 3 || order[0] != "nearer" || order[1] != "near" || order[2] != "far" {
 		t.Fatalf("order = %v, want [nearer near far]", order)
@@ -283,26 +272,6 @@ func TestStaleHandleIsNoOp(t *testing.T) {
 	}
 }
 
-func TestEventFiredAccessor(t *testing.T) {
-	e := NewEngine(1)
-	ev := e.At(10, func() {})
-	cancelled := e.At(20, func() {})
-	cancelled.Cancel()
-	if ev.Fired() {
-		t.Fatal("Fired() before Run")
-	}
-	e.Run()
-	if !ev.Fired() {
-		t.Fatal("Fired() false after the event ran")
-	}
-	if cancelled.Fired() {
-		t.Fatal("cancelled event reports Fired")
-	}
-	if !cancelled.Canceled() {
-		t.Fatal("cancelled event lost its Canceled flag after the run")
-	}
-}
-
 func TestEventPoolRecycles(t *testing.T) {
 	e := NewEngine(1)
 	h := &recordHandler{}
@@ -334,7 +303,7 @@ func (h *rearmHandler) OnEvent(e *Engine, _ Handle, _ uint64, _ int, _ any) {
 	}
 }
 
-// TestHandlerPathAllocFree is the satellite gate: the closure-free
+// TestHandlerPathAllocFree is the allocation gate: the
 // schedule/fire/recycle cycle must not allocate at all once the pool is
 // warm.
 func TestHandlerPathAllocFree(t *testing.T) {

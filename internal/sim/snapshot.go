@@ -31,25 +31,17 @@ import (
 	"unsafe"
 )
 
-// eventRecord is one live event inside a Snapshot. Payloads (h, fn, obj)
-// are captured by reference: re-filing them under the original key is what
-// keeps restore O(live events), and deep payload state is the caller's to
-// capture alongside the snapshot. The record also pins the *Event struct
-// and the generation it occupied at capture, so Restore can re-file into
-// the identical incarnation: model state captured alongside the snapshot
-// holds Handles to these events, and a mid-run rewind must leave those
-// handles valid.
+// eventRecord is one live event inside a Snapshot: a copy of the queued
+// Event (key, generation, handler, arguments) and the *Event struct it
+// occupied. Payloads (h, obj) are captured by reference: re-filing them
+// under the original key is what keeps restore O(live events), and deep
+// payload state is the caller's to capture alongside the snapshot. Pinning
+// the struct and its generation lets Restore re-file into the identical
+// incarnation: model state captured alongside the snapshot holds Handles
+// to these events, and a mid-run rewind must leave those handles valid.
 type eventRecord struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	h      Handler
-	arg0   uint64
-	arg1   int
-	obj    any
-	pooled bool
-	ev     *Event
-	gen    uint64
+	Event
+	ev *Event
 }
 
 // Snapshot is an immutable record of an engine's state at one instant; see
@@ -76,8 +68,7 @@ func (s *Snapshot) Now() Time { return s.now }
 // alongside the model roots: an in-flight payload (a packet crossing the
 // fabric) is reachable only from the event queue, yet the timeline that
 // keeps running after the snapshot will mutate it. Non-pointer payloads
-// are omitted — a value boxed in an interface is immutable, and funcs and
-// channels are opaque to the state-capture layer.
+// are omitted — a value boxed in an interface is immutable.
 func (s *Snapshot) Payloads() []any {
 	seen := make(map[unsafe.Pointer]bool, len(s.events))
 	var out []any
@@ -133,13 +124,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		if ev == nil || ev.canceled {
 			return
 		}
-		s.events = append(s.events, eventRecord{
-			at: ev.at, seq: ev.seq,
-			fn: ev.fn, h: ev.h,
-			arg0: ev.arg0, arg1: ev.arg1, obj: ev.obj,
-			pooled: ev.pooled,
-			ev:     ev, gen: ev.gen,
-		})
+		s.events = append(s.events, eventRecord{Event: *ev, ev: ev})
 	}
 	// Consumed open-bucket slots are nil and cancelled entries are
 	// flagged; record() skips both, so a plain walk sees exactly the live
@@ -166,9 +151,8 @@ func (e *Engine) Snapshot() *Snapshot {
 	return s
 }
 
-// purge empties the queue: pooled events return to the free list (their
-// generations bump, so outstanding Handles go stale), closure events are
-// orphaned (their caller-held *Event becomes an inert no-op for Cancel).
+// purge empties the queue: every queued event returns to the free list
+// (its generation bumps, so outstanding Handles go stale).
 func (e *Engine) purge() {
 	e.closeOpen()
 	for i := range e.buckets {
@@ -179,22 +163,14 @@ func (e *Engine) purge() {
 				continue
 			}
 			ev.where = locNone
-			if ev.pooled {
-				e.release(ev)
-			} else {
-				ev.fn = nil
-			}
+			e.release(ev)
 		}
 		e.buckets[i] = b[:0]
 	}
 	for i, ev := range e.far {
 		e.far[i] = nil
 		ev.where = locNone
-		if ev.pooled {
-			e.release(ev)
-		} else {
-			ev.fn = nil
-		}
+		e.release(ev)
 	}
 	e.far = e.far[:0]
 	e.nearCount = 0
@@ -221,18 +197,15 @@ func (e *Engine) Restore(s *Snapshot) {
 	e.stopped = false
 	e.base = s.now
 	// Re-file every recorded event into the SAME *Event struct it occupied
-	// at capture, with its original generation. After purge every pooled
-	// event is on the free list, so the recorded structs are reclaimed from
-	// it first; closure events keep their caller-visible identity. Identity
-	// matters because model state captured alongside the snapshot holds
-	// Handles {ev, gen} to these events — a rewind that re-filed into fresh
-	// pool slots would leave every such handle stale.
+	// at capture, with its original generation. After purge every event
+	// is on the free list, so the recorded structs are reclaimed from it
+	// first. Identity matters because model state captured alongside the
+	// snapshot holds Handles {ev, gen} to these events — a rewind that
+	// re-filed into fresh pool slots would leave every such handle stale.
 	if len(s.events) > 0 {
 		refiled := make(map[*Event]bool, len(s.events))
 		for i := range s.events {
-			if s.events[i].pooled {
-				refiled[s.events[i].ev] = true
-			}
+			refiled[s.events[i].ev] = true
 		}
 		kept := e.free[:0]
 		for _, fe := range e.free {
@@ -247,20 +220,9 @@ func (e *Engine) Restore(s *Snapshot) {
 	}
 	for i := range s.events {
 		r := &s.events[i]
-		ev := r.ev
-		ev.at = r.at
-		ev.seq = r.seq
-		ev.gen = r.gen
-		ev.fn = r.fn
-		ev.h = r.h
-		ev.arg0 = r.arg0
-		ev.arg1 = r.arg1
-		ev.obj = r.obj
-		ev.pooled = r.pooled
-		ev.canceled = false
-		ev.fired = false
-		ev.index = -1
-		e.schedule(ev)
+		*r.ev = r.Event // schedule files it anew: where and index are stale
+		r.ev.index = -1
+		e.schedule(r.ev)
 	}
 	// schedule() ticked these; overwrite with the recorded values so the
 	// continuation's counters match a cold run exactly.

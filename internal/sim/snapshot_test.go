@@ -46,7 +46,7 @@ func coldRecorderLog(seed uint64) []string {
 	for i := uint64(1); i <= 4; i++ {
 		e.AtHandler(Time(i), r, i, 0, nil)
 	}
-	e.At(5, func() { r.log = append(r.log, fmt.Sprintf("closure@%d", e.Now())) })
+	at(e, 5, func() { r.log = append(r.log, fmt.Sprintf("func@%d", e.Now())) })
 	e.Run()
 	return r.log
 }
@@ -63,7 +63,7 @@ func TestSnapshotForkByteIdentical(t *testing.T) {
 		for i := uint64(1); i <= 4; i++ {
 			e.AtHandler(Time(i), r, i, 0, nil)
 		}
-		e.At(5, func() { r.log = append(r.log, fmt.Sprintf("closure@%d", e.Now())) })
+		at(e, 5, func() { r.log = append(r.log, fmt.Sprintf("func@%d", e.Now())) })
 		for i := 0; i < forkAt; i++ {
 			if !e.Step() {
 				t.Fatalf("fork point %d beyond queue exhaustion", forkAt)

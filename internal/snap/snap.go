@@ -21,9 +21,13 @@
 //
 // Limitations, by design:
 //   - Closure-captured variables that are not reachable through the graph
-//     are invisible. The model layers here store state in struct fields
-//     and pass closures only as stateless callbacks (method values,
-//     completion notifications), which is why the walk suffices.
+//     are invisible. The walk suffices because the engine schedules no
+//     closures: every pending event is a sim.Handler plus a payload, so
+//     its state is struct fields the walk reaches from the roots (the
+//     scenario injectors included, through their Active). The funcs that
+//     remain in the model layers — completion callbacks and the DPA
+//     worker's service hooks — are stateless callbacks that keep no state
+//     of their own.
 //   - Channels and sync primitives are not followed (none exist in the
 //     model layers; the engine owns all concurrency).
 //

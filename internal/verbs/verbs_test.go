@@ -414,7 +414,7 @@ func TestRCSendRetriesUntilReceivePosted(t *testing.T) {
 	dst := b.RegisterMR(100)
 	qpA.PostSendRC(0, src, 0, 100, 0, true)
 	// Post the receive only after 300 µs of virtual time.
-	eng.After(300*sim.Microsecond, func() { qpB.PostRecv(0, dst, 0, 100) })
+	eng.AfterHandler(300*sim.Microsecond, lateRecv{qpB, dst}, 0, 0, nil)
 	eng.Run()
 	if cqB.Len() != 1 {
 		t.Fatalf("late-posted receive never matched (RNR on B: %d)", qpB.RNRDrops)
@@ -426,6 +426,14 @@ func TestRCSendRetriesUntilReceivePosted(t *testing.T) {
 		t.Fatalf("send never completed: %+v", se)
 	}
 }
+
+// lateRecv posts a 100-byte receive into mr on qp when its event fires.
+type lateRecv struct {
+	qp *QP
+	mr *MR
+}
+
+func (r lateRecv) OnEvent(*sim.Engine, sim.Handle, uint64, int, any) { r.qp.PostRecv(0, r.mr, 0, 100) }
 
 func TestRCErrAfterMaxRetries(t *testing.T) {
 	eng, _, a, b := pair(t, fabric.Config{DropRate: 1.0},

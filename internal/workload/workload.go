@@ -445,7 +445,15 @@ func (p *Pending) startCompute(ps *phaseState) {
 	ps.span = Span{Job: js.def.Name, Phase: ps.def.Name, Start: now}
 	cycles := float64(ps.def.Compute) * js.thread.Chip().Freq / 1e9
 	done := js.thread.RunCycles(cycles, cycles, now)
-	p.eng.At(done, func() { p.phaseDone(ps, nil) })
+	p.eng.AtHandler(done, (*computeDone)(p), 0, 0, ps)
+}
+
+// computeDone is the Pending's handler for compute-phase completions: the
+// event startCompute schedules carries the finished *phaseState.
+type computeDone Pending
+
+func (c *computeDone) OnEvent(_ *sim.Engine, _ sim.Handle, _ uint64, _ int, obj any) {
+	(*Pending)(c).phaseDone(obj.(*phaseState), nil)
 }
 
 // kick issues the next queued collective on an idle stream.
